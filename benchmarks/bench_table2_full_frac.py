@@ -17,7 +17,7 @@ from conftest import capture_trace, condense_trace, emit, emit_json
 
 from repro.data.compendium import COMPENDIUM
 from repro.experiments import render_table, table2
-from repro.learners.registry import supports_batching, supports_masked_batching
+from repro.learners.registry import supports_batching
 from repro.parallel import profiling
 from repro.telemetry.trace import read_trace, summarize_trace
 
@@ -41,14 +41,10 @@ def bench_table2(benchmark, settings, results_dir):
     # The trajectory label names the engine generation this run measured,
     # so BENCH_table2.json keeps one entry per generation and the bench
     # regression test can compare throughput across them.
-    if expr.batched_training and supports_batching(expr.regressor):
-        # The masked-solver generation ships batched scoring with it, so
-        # one label covers both halves of the rewrite.
-        label = (
-            "batched-scoring"
-            if supports_masked_batching(expr.regressor)
-            else f"batched-{expr.regressor}"
-        )
+    # The batched engine ships masked training and batched scoring
+    # together, so one label covers both halves of the rewrite.
+    if supports_batching(expr.regressor):
+        label = "batched-scoring"
     else:
         label = f"per-feature-{expr.regressor}"
     emit_json(

@@ -6,19 +6,16 @@ fractions ~0.4-0.8 (diverse is accurate but the most expensive variant).
 
 This bench is also the perf-trajectory anchor for the masked-group
 training path: diverse-FRaC tasks carry per-feature random input subsets,
-so exact ``(rows, input_ids)`` grouping degenerates to singleton batches.
-The run here prices the whole table twice — once with the pre-batching
-engine replayed (``repro.core.engine.MASKED_GROUPING`` and
-``BATCHED_SCORING`` both off: the ``singleton-batch`` baseline) and once
-with the batched engine (``masked-gram``) — asserts the two runs report
-identical deterministic figures (AUC/work/memory fractions), and writes
-both as labelled entries of the committed ``BENCH_table4.json``
-trajectory that ``benchmarks/regress.py`` gates.
+which the engine groups by observed-row mask alone. The run writes the
+``masked-gram`` entry of the committed ``BENCH_table4.json`` trajectory
+that ``benchmarks/regress.py`` gates. The ``singleton-batch`` entry it is
+priced against was measured with the retired exact-key engine, whose
+flags are gone; it stays in the file as history (git history can replay
+that engine).
 """
 
 from conftest import emit, emit_json
 
-from repro.core import engine
 from repro.experiments import average_fractions, render_table
 from repro.experiments.study import (
     RUNNABLE_DATASETS,
@@ -47,11 +44,8 @@ def _run_table4(settings):
     return rows, timings
 
 
-def _timed_run(settings, *, batched):
-    engine.MASKED_GROUPING = batched
-    engine.BATCHED_SCORING = batched
-    # The memo key does not encode the engine flags (results are
-    # byte-identical either way); a warm cache would time nothing.
+def _timed_run(settings):
+    # A warm memo cache would time nothing.
     _RESULT_CACHE.clear()
     w0, c0 = profiling.wall_seconds(), profiling.cpu_seconds()
     rows, timings = _run_table4(settings)
@@ -60,62 +54,32 @@ def _timed_run(settings, *, batched):
     return rows, timings, wall_s, cpu_s
 
 
-def _deterministic_view(rows):
-    """The figures the masked path must not move: everything but measured
-    time (AUC fractions are byte-exact; work/memory are modelled)."""
-    return [
-        (
-            row["data set"],
-            row["method"],
-            row["auc_fraction"],
-            row["work_fraction"],
-            row["mem_fraction"],
-        )
-        for row in rows
-    ]
-
-
 def bench_table4(benchmark, settings, results_dir):
-    try:
-        baseline = _timed_run(settings, batched=False)
-        masked = benchmark.pedantic(
-            lambda: _timed_run(settings, batched=True), rounds=1, iterations=1
-        )
-    finally:
-        engine.MASKED_GROUPING = True
-        engine.BATCHED_SCORING = True
-        _RESULT_CACHE.clear()
-
-    rows, _, _, _ = masked
-    assert _deterministic_view(rows) == _deterministic_view(baseline[0]), (
-        "masked grouping changed a deterministic Table IV figure"
+    rows, timings, wall_s, cpu_s = benchmark.pedantic(
+        lambda: _timed_run(settings), rounds=1, iterations=1
     )
 
-    for label, (run_rows, timings, wall_s, cpu_s) in (
-        ("singleton-batch", baseline),
-        ("masked-gram", masked),
-    ):
-        emit_json(
-            results_dir,
-            "BENCH_table4",
-            {
-                "scale": settings.scale,
-                "sample_scale": settings.sample_scale,
-                "n_replicates": settings.n_replicates,
-                "wall_s": round(wall_s, 3),
-                "cpu_s": round(cpu_s, 3),
-                "rss_peak_bytes": profiling.peak_rss_bytes(),
-                "rows": [
-                    {
-                        "data_set": dataset,
-                        "time_s": round(dataset_wall, 3),
-                        "estimated": False,
-                    }
-                    for dataset, dataset_wall in timings
-                ],
-            },
-            label=label,
-        )
+    emit_json(
+        results_dir,
+        "BENCH_table4",
+        {
+            "scale": settings.scale,
+            "sample_scale": settings.sample_scale,
+            "n_replicates": settings.n_replicates,
+            "wall_s": round(wall_s, 3),
+            "cpu_s": round(cpu_s, 3),
+            "rss_peak_bytes": profiling.peak_rss_bytes(),
+            "rows": [
+                {
+                    "data_set": dataset,
+                    "time_s": round(dataset_wall, 3),
+                    "estimated": False,
+                }
+                for dataset, dataset_wall in timings
+            ],
+        },
+        label="masked-gram",
+    )
 
     text = "\n\n".join(
         [

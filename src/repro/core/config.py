@@ -23,7 +23,11 @@ class FRaCConfig:
         Registry names of the per-feature learners (see
         :mod:`repro.learners.registry`). The paper's settings are
         ``"linear_svr"`` for expression data and ``"tree"`` for SNP data;
-        ``"ridge"`` is a fast drop-in for the SVR in tests.
+        ``"ridge"`` is a fast drop-in for the SVR in tests. A regressor
+        with a batched counterpart
+        (:data:`repro.learners.registry.BATCHED_REGRESSORS`) trains its
+        real-valued targets in groups, byte-identical to per-feature
+        training (:func:`repro.core.engine.run_feature_batch`).
     regressor_params / classifier_params:
         Extra constructor arguments for the learners.
     n_predictors:
@@ -41,15 +45,6 @@ class FRaCConfig:
     min_observed:
         Features with fewer observed training values are skipped entirely
         (they cannot support CV).
-    batched_training:
-        Route real-valued feature tasks through the batched executor path
-        (:func:`repro.core.engine.run_feature_batch`) whenever the
-        configured regressor advertises a batched implementation
-        (:data:`repro.learners.registry.BATCHED_REGRESSORS`). The batched
-        path is proven byte-identical to the per-feature path
-        (tests/core/test_batched_equivalence.py), so this flag trades
-        nothing but wall clock; it exists so the equivalence suite can
-        force the per-feature reference path.
     execution:
         How the per-feature work items are mapped (serial/thread/process).
     """
@@ -64,7 +59,6 @@ class FRaCConfig:
     confusion_smoothing: float = 1.0
     sigma_floor: float = 1e-3
     min_observed: int = 4
-    batched_training: bool = True
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def __post_init__(self) -> None:

@@ -20,27 +20,26 @@ Batched execution
 -----------------
 :func:`run_feature_tasks` is the single entry point. When the configured
 regressor advertises batching (:data:`~repro.learners.registry.
-BATCHED_REGRESSORS`) and ``config.batched_training`` is on, real-valued
-tasks are grouped by identical ``(rows, input_ids, fold layout)``
-(:func:`plan_feature_batches`) and each group is executed by
-:func:`run_feature_batch`: the row gathers, fold gathers, and the
-learner's design-matrix factorization happen once per group instead of
-once per feature, while every per-column float op replays the scalar
-path verbatim (see :mod:`repro.learners.batched`). Tasks that share an
-observed-row mask but not input ids — diverse-FRaC's per-feature input
-draws, and the default all-others wiring — form *masked* groups
-instead: shared row/fold/target gathers and centering, per-member
-column subsets (the masked solver protocol). The batched path is
-**byte-identical** to the per-feature path — NS scores, contributions,
-``cv_mean_surprisal``, persisted artifacts — and preserves its
-observable semantics: checkpoint journals keep per-feature keys (the two
-paths' journals interchange), telemetry stays per-feature (batch items
-run quiet; the orchestrator re-emits the task lifecycle per feature, and
-``FoldTrained`` is emitted per (feature, fold) either way), and a failed
-batch decomposes into per-feature execution under the caller's retry
-policy. Deterministic fault injection (``fault_plan``) targets the
-per-feature index space, so plans route the whole run down the
-per-feature path.
+BATCHED_REGRESSORS`), real-valued tasks are grouped by their target's
+observed-row mask (:func:`plan_feature_batches`) and each group is
+executed by :func:`run_feature_batch`: the row, fold, and target gathers
+and the centering happen once per group instead of once per feature,
+while each member keeps its own input columns, Gram factorization, and
+solves (the masked solver protocol of :mod:`repro.learners.batched`).
+The batched path is **byte-identical** to the per-feature path — NS
+scores, contributions, ``cv_mean_surprisal``, persisted artifacts — and
+preserves its observable semantics: checkpoint journals keep per-feature
+keys (the two paths' journals interchange), telemetry stays per-feature
+(batch items run quiet; the orchestrator re-emits the task lifecycle per
+feature, and ``FoldTrained`` is emitted per (feature, fold) either way),
+and a failed batch decomposes into per-feature execution under the
+caller's retry policy.
+
+:func:`run_feature_task` is the one per-feature path. It serves
+categorical targets, regressors without a batched counterpart (the
+paper-exact ``linear_svr``, ``tree_regressor``), and deterministic fault
+injection: ``fault_plan`` targets the per-feature index space, so plans
+route the whole run down this path.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from repro.learners.registry import (
     make_batched_learner,
     make_learner,
     supports_batching,
-    supports_masked_batching,
 )
 from repro.learners.ridge import RidgeRegressor
 from repro.parallel.executor import get_shared, run_tasks
@@ -104,7 +102,7 @@ class SharedTrainState:
     ``fold_seed`` pins the run's CV fold layout: every task with the same
     usable-row count draws the identical permutation (see
     :func:`fold_rng`), which is what lets the batched planner group tasks
-    by ``(rows, input_ids)`` and know the fold layout matches too.
+    by their usable rows and know the fold layout matches too.
     """
 
     x_imputed: np.ndarray
@@ -297,39 +295,28 @@ def run_feature_task(task: FeatureTask) -> "tuple[FeatureModel, TaskCost] | None
 # -- batched execution -------------------------------------------------------
 
 #: Largest feature group executed as one batch. Grouping is what amortizes
-#: the gathers and the Gram factorization; the cap only bounds how much
-#: completed work one mid-batch crash can lose before the next journal
-#: append (batch results stream to the checkpoint per batch, not per run).
+#: the gathers and the centering; the cap only bounds how much completed
+#: work one mid-batch crash can lose before the next journal append (batch
+#: results stream to the checkpoint per batch, not per run).
 MAX_BATCH_FEATURES = 64
-
-#: Global switch for masked (shared-rows, per-member input-subset)
-#: grouping. Results are bitwise identical either way — the flag exists
-#: so the Table IV benchmark can price the masked path against the
-#: singleton-batch baseline it replaced (benchmarks/bench_table4_diverse
-#: .py flips it around the "pre" run). Planning happens in the parent
-#: process only, so the flag never crosses a worker boundary.
-MASKED_GROUPING = True
 
 
 @dataclass(frozen=True)
 class FeatureBatch:
-    """A group of real-valued tasks sharing ``(rows, input_ids, folds)`` —
-    or, when ``masked`` is set, sharing only ``(rows, folds)`` with
-    per-member input subsets (the diverse-FRaC shape).
+    """A group of real-valued tasks sharing ``(rows, folds)``, each member
+    carrying its own input subset.
 
     ``indices`` are the member positions in the task list handed to
     :func:`plan_feature_batches`, so the orchestrator can place results
     and re-emit per-feature telemetry without searching. ``group`` is a
-    short content digest of the plan-group key (the observed-mask byte
-    pattern, plus the input-id bytes for exact groups), stamped onto the
-    batch's ``fit.batch`` span so a trace alone reveals how the planner
-    grouped the feature space.
+    short content digest of the observed-mask byte pattern, stamped onto
+    the batch's ``fit.batch`` span so a trace alone reveals how the
+    planner grouped the feature space.
     """
 
     tasks: tuple[FeatureTask, ...]
     indices: tuple[int, ...]
     group: str = ""
-    masked: bool = False
 
 
 def batch_task_key(batch: FeatureBatch) -> tuple:
@@ -341,75 +328,49 @@ def plan_feature_batches(
     tasks: "list[FeatureTask]",
     shared: SharedTrainState,
     max_batch: int = MAX_BATCH_FEATURES,
-    masked: bool = True,
 ) -> "tuple[list[FeatureBatch], list[int]]":
     """Group batchable tasks; return ``(batches, passthrough_indices)``.
 
     Tasks are batchable when their target is real-valued (categorical
     targets keep the per-feature classifier path). Group identity is the
-    byte pattern of the target's observed-row mask plus the input-id
-    array: equal masks mean equal usable rows, and — because the fold
-    permutation is dealt by :func:`fold_rng` from the shared fold seed
-    and the row count — equal rows imply an equal fold layout, completing
-    the ``(rows, input_ids, fold-layout)`` grouping contract.
-
-    When a mask group contains *different* input-id patterns — the
-    all-others wiring and diverse-FRaC's per-feature input draws (paper
-    §II-B), which the exact key degenerates to singletons — and
-    ``masked`` grouping is on, the whole mask group becomes masked
-    batches instead: members share ``(rows, fold layout)`` and carry
-    their own input subsets, executed by the masked-solver path (one row
-    gather / centering per group, one Gram per member; see
-    :mod:`repro.learners.batched`). Groups larger than ``max_batch``
-    split into consecutive chunks (bitwise results are independent of
-    batch boundaries; only amortization and checkpoint granularity
-    change).
+    byte pattern of the target's observed-row mask alone: equal masks mean
+    equal usable rows, and — because the fold permutation is dealt by
+    :func:`fold_rng` from the shared fold seed and the row count — equal
+    rows imply an equal fold layout. Input ids are per member (the
+    all-others wiring, diverse-FRaC's per-feature draws, fixed panels
+    alike), executed by the masked-solver path: one row gather /
+    centering per group, one Gram per member (see
+    :mod:`repro.learners.batched`). Groups larger than ``max_batch`` split
+    into consecutive chunks (bitwise results are independent of batch
+    boundaries; only amortization and checkpoint granularity change).
 
     Ordering is deterministic: groups appear in first-member order and
     members in task order, so plans are identical across runs and modes.
     """
-    masked = masked and MASKED_GROUPING
-    by_mask: "dict[bytes, dict[bytes, list[int]]]" = {}
+    by_mask: "dict[bytes, list[int]]" = {}
     passthrough: list[int] = []
     for pos, task in enumerate(tasks):
         if shared.schema[task.feature_id].is_categorical:
             passthrough.append(pos)
             continue
         observed = ~np.isnan(shared.x_targets[:, task.feature_id])
-        ids_bytes = np.asarray(task.input_ids, dtype=np.intp).tobytes()
-        by_mask.setdefault(observed.tobytes(), {}).setdefault(ids_bytes, []).append(pos)
+        by_mask.setdefault(observed.tobytes(), []).append(pos)
     batches: list[FeatureBatch] = []
-    for mask_bytes, subgroups in by_mask.items():
-        if masked and len(subgroups) > 1:
-            # Deterministic plan-group fingerprint: a content digest of
-            # the grouping key itself, so equal groups carry equal labels
-            # across runs, machines, and batch-size splits (telemetry
-            # join key only — never fed back into computation). Masked
-            # groups digest the mask alone: input ids are per member.
-            group = hashlib.sha256(mask_bytes).hexdigest()[:12]
-            positions = sorted(p for ps in subgroups.values() for p in ps)
-            for lo in range(0, len(positions), max_batch):
-                chunk = positions[lo : lo + max_batch]
-                batches.append(
-                    FeatureBatch(
-                        tasks=tuple(tasks[p] for p in chunk),
-                        indices=tuple(chunk),
-                        group=group,
-                        masked=True,
-                    )
+    for mask_bytes, positions in by_mask.items():
+        # Deterministic plan-group fingerprint: a content digest of the
+        # grouping key itself, so equal groups carry equal labels across
+        # runs, machines, and batch-size splits (telemetry join key only —
+        # never fed back into computation).
+        group = hashlib.sha256(mask_bytes).hexdigest()[:12]
+        for lo in range(0, len(positions), max_batch):
+            chunk = positions[lo : lo + max_batch]
+            batches.append(
+                FeatureBatch(
+                    tasks=tuple(tasks[p] for p in chunk),
+                    indices=tuple(chunk),
+                    group=group,
                 )
-            continue
-        for ids_bytes, positions in subgroups.items():
-            group = hashlib.sha256(mask_bytes + ids_bytes).hexdigest()[:12]
-            for lo in range(0, len(positions), max_batch):
-                chunk = positions[lo : lo + max_batch]
-                batches.append(
-                    FeatureBatch(
-                        tasks=tuple(tasks[p] for p in chunk),
-                        indices=tuple(chunk),
-                        group=group,
-                    )
-                )
+            )
     return batches, passthrough
 
 
@@ -417,16 +378,21 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
     """Execute one task group against the executor-shared training state.
 
     Returns one per-member result in ``batch.tasks`` order, each exactly
-    what :func:`run_feature_task` would have produced for that task: the
-    row/fold gathers and the design-matrix factorization are shared per
-    group, while every per-column operation (target validation,
-    centering, the ``XᵀY`` product, the triangular solves, the error
-    model, entropy) replays the scalar call sequence verbatim — see
-    :mod:`repro.learners.batched` for why that is bitwise-preserving.
+    what :func:`run_feature_task` would have produced for that task.
+    Members agree on the observed-row mask — hence on the fold layout —
+    but each has its own input columns, so no design matrix is shared.
+    What *is* shared is gathered and computed once per (group, fold): the
+    full-width row gather, the column means, the centered design, the
+    holdout rows, and the whole y side (gather, finiteness, means,
+    centering — batched through bit-preserving contiguous-row
+    reductions). Each member then pays only its own column gather, Gram +
+    Cholesky, and gemv solves, through
+    :meth:`repro.learners.batched.MaskedSolver.member` — which guarantees
+    every member float is bit-identical to the per-feature path
+    (single-input members replay the scalar kernel choice).
 
-    Members share their rows by construction (:func:`plan_feature_batches`
-    groups by the observed-row mask), so the under-``min_observed`` check
-    decides once for the whole group.
+    Members share their rows by construction, so the under-
+    ``min_observed`` check decides once for the whole group.
 
     Each execution is bracketed by a ``fit.batch`` span whose attrs carry
     the batch size and the planner's group fingerprint — the measurement
@@ -436,225 +402,118 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
     """
     with span(
         "fit.batch",
-        attrs={
-            "batch_size": len(batch.tasks),
-            "group": batch.group,
-            "masked": int(batch.masked),
-        },
+        attrs={"batch_size": len(batch.tasks), "group": batch.group},
     ):
-        return _execute_feature_batch(batch)
+        shared: SharedTrainState = get_shared()
+        cfg = shared.config
+        start = cpu_seconds()
+        rows = np.flatnonzero(~np.isnan(shared.x_targets[:, batch.tasks[0].feature_id]))
+        if len(rows) < cfg.min_observed:
+            return [None] * len(batch.tasks)
 
+        x_full = shared.x_imputed[rows]
+        # One design validation for the whole group (covers every member's
+        # column subset and every fold's row slice); solvers skip re-checks.
+        check_2d(x_full, "X", allow_nan=False)
+        ids_list = [np.asarray(task.input_ids, dtype=np.intp) for task in batch.tasks]
+        feat = np.fromiter(
+            (task.feature_id for task in batch.tasks), dtype=np.intp, count=len(batch.tasks)
+        )
+        # (k, n) with contiguous member rows: row j is exactly the 1-D target
+        # vector the per-feature path gathers for member j.
+        ys = shared.x_targets.T[np.ix_(feat, rows)]
 
-def _execute_feature_batch(
-    batch: FeatureBatch,
-) -> "list[tuple[FeatureModel, TaskCost] | None]":
-    shared: SharedTrainState = get_shared()
-    cfg = shared.config
-    start = cpu_seconds()
+        learner = make_batched_learner(cfg.regressor, **dict(cfg.regressor_params))
+        folds = shared_folds(shared.fold_seed, len(rows), cfg.n_folds)
 
-    first = batch.tasks[0]
-    rows = np.flatnonzero(~np.isnan(shared.x_targets[:, first.feature_id]))
-    if len(rows) < cfg.min_observed:
-        return [None] * len(batch.tasks)
-    if batch.masked:
-        return _execute_masked_batch(batch, shared, rows, start)
-    input_ids = np.asarray(first.input_ids, dtype=np.intp)
-    x_in = shared.x_imputed[np.ix_(rows, input_ids)]
-    # One design validation for the whole group: every fold subset below
-    # is a row slice of x_in, so finiteness here covers them all. The
-    # solvers are told to skip their own re-check (check=False).
-    check_2d(x_in, "X", allow_nan=False)
-    ys = [shared.x_targets[:, task.feature_id][rows] for task in batch.tasks]
-
-    learner = make_batched_learner(cfg.regressor, **dict(cfg.regressor_params))
-    folds = shared_folds(shared.fold_seed, len(rows), cfg.n_folds)
-
-    bus = get_bus()
-    preds = [np.empty(len(rows)) for _ in batch.tasks]
-    for fold, (train_idx, holdout_idx) in enumerate(folds):
-        # One gather + one factorization per (group, fold) — the whole
-        # point of the batch; the remaining per-column cost is O(n*d) gemv.
-        solver = learner.solver(x_in[train_idx], check=False)  # fraclint: disable=FRL016 -- the amortized per-fold gather (one per group, not per feature); priced in the ledger under run_feature_tasks
-        x_holdout = x_in[holdout_idx]  # fraclint: disable=FRL016 -- amortized holdout gather, shared by every member column
-        for j, task in enumerate(batch.tasks):
-            model = solver.fit_column(ys[j][train_idx])  # fraclint: disable=FRL016 -- per-column target gather; O(n) vector next to the shared O(n*d) factorization
-            preds[j][holdout_idx] = model.predict(x_holdout)
-            if bus is not None:
-                bus.emit(
-                    FoldTrained(
-                        feature_id=int(task.feature_id),
-                        slot=int(task.slot),
-                        fold=fold,
-                        n_folds=len(folds),
+        bus = get_bus()
+        preds = [np.empty(len(rows)) for _ in batch.tasks]
+        for fold, (train_idx, holdout_idx) in enumerate(folds):
+            # One gather + one mean/centering pass per (group, fold); the
+            # remaining per-member cost is the column gather and its own
+            # Gram factorization (a shared factor is not bit-reachable here —
+            # see repro.learners.batched).
+            solver = learner.masked_solver(x_full[train_idx], check=False)  # fraclint: disable=FRL016 -- the amortized per-fold gather (one per group, not per feature); priced in the ledger under run_feature_tasks
+            x_holdout = x_full[holdout_idx]  # fraclint: disable=FRL016 -- amortized holdout gather, shared by every member column
+            # ascontiguousarray: the column gather is F-contiguous, whose
+            # axis-1 reduction takes a strided kernel; each member's
+            # reference y.mean() is the 1-D pairwise kernel, which only the
+            # C-contiguous rows replay.
+            y_fold = np.ascontiguousarray(ys[:, train_idx])  # fraclint: disable=FRL016 -- amortized target gather: one (k, n_fold) copy per fold for the whole group
+            if not np.isfinite(y_fold).all():
+                # The same error fit_column raises per member; failing the
+                # batch routes every member down the per-feature path, which
+                # reports it with the offending feature attached.
+                raise ValueError("target y contains non-finite values")
+            # Contiguous-row axis-1 reductions run the same pairwise kernel
+            # as each member's scalar y.mean(); broadcast centering is
+            # elementwise — both bit-identical to the per-member ops.
+            y_means = y_fold.mean(axis=1)
+            y_centered = y_fold - y_means[:, None]
+            for j, task in enumerate(batch.tasks):
+                member = solver.member(ids_list[j])
+                model = member.solve_centered(y_centered[j], y_means[j])
+                # The gemv predict() runs, minus its isfinite re-scan of rows
+                # validated once above.
+                # ascontiguousarray: the column gather is F-contiguous and
+                # gemv dispatches differently there; the reference path's
+                # np.ix_ gather is C-contiguous, so replay that layout.
+                x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])  # fraclint: disable=FRL016 -- per-member holdout column gather; O(n*d') next to the member's own O(n*d'^2) Gram
+                preds[j][holdout_idx] = x_m @ model.coef_ + model.intercept_
+                if bus is not None:
+                    bus.emit(
+                        FoldTrained(
+                            feature_id=int(task.feature_id),
+                            slot=int(task.slot),
+                            fold=fold,
+                            n_folds=len(folds),
+                        )
                     )
-                )
 
-    final = learner.solver(x_in, check=False)
-    shared_cpu = cpu_seconds() - start
-    out: "list[tuple[FeatureModel, TaskCost] | None]" = []
-    # The batched tail (ROADMAP Open item 1): the expensive shared work —
-    # gathers and the Gram factorization — is already hoisted into
-    # ``learner.solver`` above; what remains per member is an O(n*d) gemv
-    # column solve plus the error model, deliberately kept as per-column
-    # scalar calls so each replays run_feature_task's float ops verbatim
-    # (bitwise equivalence over raw speed; see repro.learners.batched).
-    for j, task in enumerate(batch.tasks):  # fraclint: disable=FRL015
-        per0 = cpu_seconds()
-        y = ys[j]
-        error_model = GaussianErrorModel(sigma_floor=cfg.sigma_floor)
-        entropy = GaussianKDE().fit(y).entropy()
-        error_model.fit(preds[j], y)
-        cv_mean_surprisal = float(error_model.surprisal(preds[j], y).mean())
-        predictor = final.fit_column(y)
-        cost = TaskCost(
-            # Shared work is split evenly; per-member tails are measured.
-            # The deterministic components (bytes, work units) use the
-            # same formulas as the per-feature path.
-            cpu_seconds=shared_cpu / len(batch.tasks) + (cpu_seconds() - per0),
-            design_bytes=design_matrix_bytes(len(rows), max(len(input_ids), 1)),
-            model_bytes=int(getattr(predictor, "model_nbytes", 0))
-            + error_model.model_nbytes,
-            work_units=training_work_units(len(folds) + 1, len(rows), len(input_ids)),
+        final = learner.masked_solver(x_full, check=False)
+        # Batched per-member tail: KDE entropies, Gaussian error models, and
+        # CV mean surprisals all batch across the group's contiguous rows
+        # with the same bit-preservation arguments as the training half (see
+        # repro.errormodels.kde.batch_entropy / GaussianErrorModel.batch_fit).
+        # Only the final refit stays per member — its Gram is the member's own.
+        preds_mat = np.stack(preds)
+        entropies = batch_entropy(ys)
+        error_models = GaussianErrorModel.batch_fit(
+            preds_mat, ys, sigma_floor=cfg.sigma_floor
         )
-        out.append(
-            (
-                FeatureModel(
-                    feature_id=task.feature_id,
-                    input_ids=input_ids,
-                    predictor=predictor,
-                    error_model=error_model,
-                    entropy=entropy,
-                    cv_mean_surprisal=cv_mean_surprisal,
+        cv_means = GaussianErrorModel.batch_mean_surprisal(error_models, preds_mat, ys)
+        shared_cpu = cpu_seconds() - start
+        out: "list[tuple[FeatureModel, TaskCost] | None]" = []
+        for j, task in enumerate(batch.tasks):  # fraclint: disable=FRL015 -- O(k) assembly: the tail's numpy work (entropy, error fit, CV surprisal) is batched above; only the final per-member refit stays, its Gram being the member's own
+            per0 = cpu_seconds()
+            error_model = error_models[j]
+            predictor = final.member(ids_list[j]).fit_column(ys[j])
+            cost = TaskCost(
+                # Shared work is split evenly; per-member tails are measured.
+                # The deterministic components (bytes, work units) use the
+                # same formulas as the per-feature path.
+                cpu_seconds=shared_cpu / len(batch.tasks) + (cpu_seconds() - per0),
+                design_bytes=design_matrix_bytes(len(rows), max(len(ids_list[j]), 1)),
+                model_bytes=int(getattr(predictor, "model_nbytes", 0))
+                + error_model.model_nbytes,
+                work_units=training_work_units(
+                    len(folds) + 1, len(rows), len(ids_list[j])
                 ),
-                cost,
             )
-        )
-    return out
-
-
-def _execute_masked_batch(
-    batch: FeatureBatch,
-    shared: SharedTrainState,
-    rows: np.ndarray,
-    start: float,
-) -> "list[tuple[FeatureModel, TaskCost] | None]":
-    """Execute a masked group: shared rows/folds, per-member input subsets.
-
-    The diverse-FRaC shape (and the all-others wiring): members agree on
-    the observed-row mask — hence on the fold layout — but each draws its
-    own input columns, so no design matrix is shared. What *is* shared is
-    gathered and computed once per (group, fold): the full-width row
-    gather, the column means, the centered design, the holdout rows, and
-    the whole y side (gather, finiteness, means, centering — batched
-    through bit-preserving contiguous-row reductions). Each member then
-    pays only its own column gather, Gram + Cholesky, and gemv solves,
-    through :meth:`repro.learners.batched.MaskedSolver.member` — which
-    guarantees every member float is bit-identical to the per-feature
-    path (single-input members replay the scalar kernel choice).
-    """
-    cfg = shared.config
-    x_full = shared.x_imputed[rows]
-    # One design validation for the whole group (covers every member's
-    # column subset and every fold's row slice); solvers skip re-checks.
-    check_2d(x_full, "X", allow_nan=False)
-    ids_list = [np.asarray(task.input_ids, dtype=np.intp) for task in batch.tasks]
-    feat = np.fromiter(
-        (task.feature_id for task in batch.tasks), dtype=np.intp, count=len(batch.tasks)
-    )
-    # (k, n) with contiguous member rows: row j is exactly the 1-D target
-    # vector the per-feature path gathers for member j.
-    ys = shared.x_targets.T[np.ix_(feat, rows)]
-
-    learner = make_batched_learner(cfg.regressor, **dict(cfg.regressor_params))
-    folds = shared_folds(shared.fold_seed, len(rows), cfg.n_folds)
-
-    bus = get_bus()
-    preds = [np.empty(len(rows)) for _ in batch.tasks]
-    for fold, (train_idx, holdout_idx) in enumerate(folds):
-        # One gather + one mean/centering pass per (group, fold); the
-        # remaining per-member cost is the column gather and its own
-        # Gram factorization (a shared factor is not bit-reachable here —
-        # see repro.learners.batched).
-        solver = learner.masked_solver(x_full[train_idx], check=False)  # fraclint: disable=FRL016 -- the amortized per-fold gather (one per group, not per feature); priced in the ledger under run_feature_tasks
-        x_holdout = x_full[holdout_idx]  # fraclint: disable=FRL016 -- amortized holdout gather, shared by every member column
-        # ascontiguousarray: the column gather is F-contiguous, whose
-        # axis-1 reduction takes a strided kernel; each member's
-        # reference y.mean() is the 1-D pairwise kernel, which only the
-        # C-contiguous rows replay.
-        y_fold = np.ascontiguousarray(ys[:, train_idx])  # fraclint: disable=FRL016 -- amortized target gather: one (k, n_fold) copy per fold for the whole group
-        if not np.isfinite(y_fold).all():
-            # The same error fit_column raises per member; failing the
-            # batch routes every member down the per-feature path, which
-            # reports it with the offending feature attached.
-            raise ValueError("target y contains non-finite values")
-        # Contiguous-row axis-1 reductions run the same pairwise kernel
-        # as each member's scalar y.mean(); broadcast centering is
-        # elementwise — both bit-identical to the per-member ops.
-        y_means = y_fold.mean(axis=1)
-        y_centered = y_fold - y_means[:, None]
-        for j, task in enumerate(batch.tasks):
-            member = solver.member(ids_list[j])
-            model = member.solve_centered(y_centered[j], y_means[j])
-            # The gemv predict() runs, minus its isfinite re-scan of rows
-            # validated once above.
-            # ascontiguousarray: the column gather is F-contiguous and
-            # gemv dispatches differently there; the reference path's
-            # np.ix_ gather is C-contiguous, so replay that layout.
-            x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])  # fraclint: disable=FRL016 -- per-member holdout column gather; O(n*d') next to the member's own O(n*d'^2) Gram
-            preds[j][holdout_idx] = x_m @ model.coef_ + model.intercept_
-            if bus is not None:
-                bus.emit(
-                    FoldTrained(
-                        feature_id=int(task.feature_id),
-                        slot=int(task.slot),
-                        fold=fold,
-                        n_folds=len(folds),
-                    )
+            out.append(
+                (
+                    FeatureModel(
+                        feature_id=task.feature_id,
+                        input_ids=ids_list[j],
+                        predictor=predictor,
+                        error_model=error_model,
+                        entropy=float(entropies[j]),
+                        cv_mean_surprisal=float(cv_means[j]),
+                    ),
+                    cost,
                 )
-
-    final = learner.masked_solver(x_full, check=False)
-    # Batched per-member tail: KDE entropies, Gaussian error models, and
-    # CV mean surprisals all batch across the group's contiguous rows
-    # with the same bit-preservation arguments as the training half (see
-    # repro.errormodels.kde.batch_entropy / GaussianErrorModel.batch_fit).
-    # Only the final refit stays per member — its Gram is the member's own.
-    preds_mat = np.stack(preds)
-    entropies = batch_entropy(ys)
-    error_models = GaussianErrorModel.batch_fit(
-        preds_mat, ys, sigma_floor=cfg.sigma_floor
-    )
-    cv_means = GaussianErrorModel.batch_mean_surprisal(error_models, preds_mat, ys)
-    shared_cpu = cpu_seconds() - start
-    out: "list[tuple[FeatureModel, TaskCost] | None]" = []
-    for j, task in enumerate(batch.tasks):  # fraclint: disable=FRL015 -- O(k) assembly: the tail's numpy work (entropy, error fit, CV surprisal) is batched above; only the final per-member refit stays, its Gram being the member's own
-        per0 = cpu_seconds()
-        error_model = error_models[j]
-        entropy = float(entropies[j])
-        cv_mean_surprisal = float(cv_means[j])
-        predictor = final.member(ids_list[j]).fit_column(ys[j])
-        cost = TaskCost(
-            cpu_seconds=shared_cpu / len(batch.tasks) + (cpu_seconds() - per0),
-            design_bytes=design_matrix_bytes(len(rows), max(len(ids_list[j]), 1)),
-            model_bytes=int(getattr(predictor, "model_nbytes", 0))
-            + error_model.model_nbytes,
-            work_units=training_work_units(
-                len(folds) + 1, len(rows), len(ids_list[j])
-            ),
-        )
-        out.append(
-            (
-                FeatureModel(
-                    feature_id=task.feature_id,
-                    input_ids=ids_list[j],
-                    predictor=predictor,
-                    error_model=error_model,
-                    entropy=entropy,
-                    cv_mean_surprisal=cv_mean_surprisal,
-                ),
-                cost,
             )
-        )
-    return out
+        return out
 
 
 class _FanoutJournal:
@@ -691,24 +550,17 @@ def run_feature_tasks(
 ) -> "list[tuple[FeatureModel, TaskCost] | None]":
     """Execute every work item, batched where the regressor supports it.
 
-    The single training entry point: chooses between the batched executor
-    path and the per-feature path, preserving the per-feature path's
-    observable behaviour in either case (see the module docstring).
-    ``fault_plan`` indices address the per-feature task list, so any plan
-    routes execution down the per-feature path — which keeps every
-    fault-injection proof exact, and lets a poison-plan resume prove that
-    a batched-written journal replays with zero re-executions.
+    The single training entry point: real-valued targets of a batchable
+    regressor run through the batch path, everything else per feature,
+    with the per-feature path's observable behaviour either way (see the
+    module docstring). ``fault_plan`` indices address the per-feature task
+    list, so any plan routes execution down the per-feature path — which
+    keeps every fault-injection proof exact, and lets a poison-plan resume
+    prove that a batched-written journal replays with zero re-executions.
     """
     cfg = shared.config
-    use_batched = (
-        cfg.batched_training
-        and fault_plan is None
-        and supports_batching(cfg.regressor)
-    )
-    if use_batched:
+    if fault_plan is None and supports_batching(cfg.regressor):
         return _run_batched(tasks, shared, checkpoint, failures)
-    # The reference path: one executor item per (feature, slot). run_tasks
-    # itself picks fail-fast vs resilient from which arguments are set.
     return run_tasks(
         run_feature_task,
         tasks,
@@ -727,12 +579,13 @@ def _run_batched(tasks, shared, checkpoint, failures):
     1. *Checkpoint pre-pass* (per feature): cached results resolve without
        execution, emitting the same ``CheckpointHit``/``CheckpointMiss``
        and cached-``FeatureTaskFinished`` events, in the same task order,
-       as the resilient per-feature scheduler.
+       as the per-feature scheduler.
     2. *Batch wave*: remaining batchable tasks run as quiet coarse items
        (no batch-level lifecycle events); completed batches stream to the
-       journal through :class:`_FanoutJournal` at per-feature keys. Under
-       a retry policy, transient faults retry at batch granularity and
-       exhausted batches are *decomposed*, never skipped outright.
+       journal through :class:`_FanoutJournal` at per-feature keys.
+       Transient faults retry at batch granularity under the caller's
+       retry budget, and exhausted batches are *decomposed*, never
+       skipped outright.
     3. *Lifecycle re-emission*: each batch-completed feature gets its
        ``FeatureTaskStarted``/``FeatureTaskFinished`` pair, so per-feature
        event counts are replay-identical with the per-feature path.
@@ -742,15 +595,11 @@ def _run_batched(tasks, shared, checkpoint, failures):
        ones. Their completions are journaled afterwards (skipped features
        are not journaled, matching the per-feature scheduler).
     """
-    cfg = shared.config
-    execution = cfg.execution
+    execution = shared.config.execution
     bus = get_bus()
     n = len(tasks)
     keys = [feature_task_key(task) for task in tasks]
     results: "list" = [None] * n
-    resilient = (
-        execution.retry is not None or checkpoint is not None or failures is not None
-    )
 
     # 1. Per-feature checkpoint pre-pass.
     pending: list[int] = list(range(n))
@@ -772,31 +621,25 @@ def _run_batched(tasks, shared, checkpoint, failures):
                     bus.emit(CheckpointMiss(index=i, key=key))
                 pending.append(i)
 
-    batches, passthrough = plan_feature_batches(
-        [tasks[i] for i in pending],
-        shared,
-        masked=supports_masked_batching(cfg.regressor),
-    )
+    batches, passthrough = plan_feature_batches([tasks[i] for i in pending], shared)
 
     # 2. Batch wave (quiet: lifecycle is re-emitted per feature below).
-    wave_failures = FailureReport()
-    completed_batches: "list[tuple[FeatureBatch, list]]" = []
+    completed_batches: "list[FeatureBatch]" = []
     leftover = [pending[pos] for pos in passthrough]
     if batches:
-        wave_policy = None
-        if resilient:
-            base = execution.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
-            wave_policy = replace(
-                base,
-                on_exhaustion="skip",
-                task_timeout=(
-                    None
-                    if base.task_timeout is None
-                    # A batch is up to max-batch features of work; scale the
-                    # per-feature budget so grouping cannot induce timeouts.
-                    else base.task_timeout * max(len(b.tasks) for b in batches)
-                ),
-            )
+        base = execution.retry or RetryPolicy(max_retries=0)
+        wave_policy = replace(
+            base,
+            on_exhaustion="skip",
+            task_timeout=(
+                None
+                if base.task_timeout is None
+                # A batch is up to max-batch features of work; scale the
+                # per-feature budget so grouping cannot induce timeouts.
+                else base.task_timeout * max(len(b.tasks) for b in batches)
+            ),
+        )
+        wave_failures = FailureReport()
         wave_values = run_tasks(
             run_feature_batch,
             batches,
@@ -804,23 +647,21 @@ def _run_batched(tasks, shared, checkpoint, failures):
             config=replace(execution, retry=wave_policy),
             checkpoint=None if checkpoint is None else _FanoutJournal(checkpoint, batches),
             task_key=batch_task_key,
-            failures=wave_failures if resilient else None,
+            failures=wave_failures,
             quiet=True,
         )
         failed_batches = set(wave_failures.indices())
         for b, (batch, values) in enumerate(zip(batches, wave_values)):
-            if b in failed_batches or values is None:
+            if b in failed_batches:
                 leftover.extend(pending[pos] for pos in batch.indices)
                 continue
-            completed_batches.append((batch, values))
+            completed_batches.append(batch)
             for pos, value in zip(batch.indices, values):
                 results[pending[pos]] = value
 
     # 3. Re-emit the per-feature lifecycle for batch-completed features.
     if bus is not None and completed_batches:
-        done = sorted(
-            pending[pos] for batch, _ in completed_batches for pos in batch.indices
-        )
+        done = sorted(pending[pos] for batch in completed_batches for pos in batch.indices)
         for i in done:
             bus.emit(FeatureTaskStarted(index=i, attempt=0, key=keys[i]))
             bus.emit(
@@ -832,64 +673,21 @@ def _run_batched(tasks, shared, checkpoint, failures):
     # 4. Decomposed batch members + passthrough tasks run per feature.
     if leftover:
         leftover.sort()
-        sub = [tasks[i] for i in leftover]
-        if resilient:
-            report = failures if failures is not None else FailureReport()
-            values = run_tasks(
-                run_feature_task,
-                sub,
-                shared=shared,
-                config=execution,
-                task_key=feature_task_key,
-                failures=report,
-            )
-            failed_keys = {f.key for f in report}
-        else:
-            values = run_tasks(
-                run_feature_task,
-                sub,
-                shared=shared,
-                config=execution,
-                task_key=feature_task_key,
-            )
-            failed_keys = set()
+        report = failures if failures is not None else FailureReport()
+        values = run_tasks(
+            run_feature_task,
+            [tasks[i] for i in leftover],
+            shared=shared,
+            config=execution,
+            task_key=feature_task_key,
+            failures=report,
+        )
+        failed_keys = {f.key for f in report}
         for i, value in zip(leftover, values):
             results[i] = value
             if checkpoint is not None and keys[i] not in failed_keys:
                 checkpoint.append(keys[i], value)
     return results
-
-
-#: Global switch for the batched scoring gather, the scoring-side twin of
-#: :data:`MASKED_GROUPING`. ``True`` runs the grouped path under a
-#: ``score.batch`` span; ``False`` replays the retired per-model loop
-#: (span ``score.gather``) so the benchmark trajectory can price the
-#: pre-batching engine in the same process. Scores are bitwise identical
-#: either way.
-BATCHED_SCORING = True
-
-
-def _gather_surprisals_scalar(
-    models: list[FeatureModel],
-    x_test_imputed: np.ndarray,
-    x_test_targets: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """The retired per-model gather loop, kept as the priced baseline.
-
-    :func:`gather_surprisals` is pinned bitwise against this exact loop
-    (tests/core/test_batched_scoring.py); benchmarks run it via
-    :data:`BATCHED_SCORING` to measure what the batching bought.
-    """
-    for t, fm in enumerate(models):  # fraclint: disable=FRL015 -- the deliberately scalar baseline the bench trajectory prices
-        truths = x_test_targets[:, fm.feature_id]
-        observed = ~np.isnan(truths)
-        if not observed.any():
-            continue
-        preds = fm.predictor.predict(x_test_imputed[np.ix_(observed, fm.input_ids)])  # fraclint: disable=FRL016 -- per-model gather is the point of this baseline
-        out[observed, t] = (
-            fm.error_model.surprisal(preds, truths[observed]) - fm.entropy  # fraclint: disable=FRL016 -- the baseline's per-model masked gather/scatter, priced by score.gather
-        )
 
 
 def gather_surprisals(
@@ -909,7 +707,8 @@ def gather_surprisals(
     truth gather, the surprisal math (one
     :meth:`~repro.errormodels.base.ErrorModel.batch_surprisal` call), the
     entropy subtraction, and the masked scatter — while keeping the
-    result bitwise equal to the scalar loop:
+    result bitwise equal to the scalar loop (kept as the test oracle
+    ``reference_gather_surprisals`` in tests/core/test_batched_scoring.py):
 
     - gathers and scatters are pure copies;
     - linear predictions stay one gemv *per model* — stacking coefficient
@@ -976,21 +775,13 @@ def score_contributions(
     Missing test targets contribute exactly zero (the NS definition's
     "otherwise" branch). The batched gather runs under a ``score.batch``
     span (nested inside the caller's ``score.contributions``) so traces
-    separate the hot scoring work from the preprocessing around it —
-    and so the ledger re-prices it against the retired ``score.gather``
-    loop (``repro trace diff`` matches the renamed populations through
-    their shared qualname).
+    separate the hot scoring work from the preprocessing around it.
+    Traces from before the scoring rewrite name the same work
+    ``score.gather``; ``repro trace diff`` matches the two populations
+    through their shared qualname.
     """
     n = x_test_imputed.shape[0]
     out = np.zeros((n, len(models)))
-    if BATCHED_SCORING:
-        with span(
-            "score.batch", attrs={"n_models": len(models), "n_samples": int(n)}
-        ):
-            gather_surprisals(models, x_test_imputed, x_test_targets, out)
-    else:
-        with span(
-            "score.gather", attrs={"n_models": len(models), "n_samples": int(n)}
-        ):
-            _gather_surprisals_scalar(models, x_test_imputed, x_test_targets, out)
+    with span("score.batch", attrs={"n_models": len(models), "n_samples": int(n)}):
+        gather_surprisals(models, x_test_imputed, x_test_targets, out)
     return out

@@ -1,40 +1,39 @@
-"""Batched multi-target fits sharing one design-matrix factorization.
+"""Batched multi-target ridge fits sharing per-group design work.
 
-Full FRaC trains `O(f)` models whose design matrices coincide whenever
-tasks share `(rows, input_ids, fold layout)` — multi-slot predictors,
-fixed-panel wirings, and the JL variant all produce such groups. A
-:class:`BatchedLearner` exploits that: it precomputes everything that
-depends only on the design matrix (centering, the Gram matrix, its
-Cholesky factor) once per group, then fits each target column against
-the shared factorization.
+Full FRaC trains `O(f)` models; features whose targets observe the same
+rows share the row gather, the fold layout, and — for ridge — the column
+means and the centered design. A :class:`BatchedLearner` exploits that:
+:meth:`BatchedLearner.masked_solver` precomputes the shared state once
+per (group, fold) on the full-width design, and each member scopes it to
+its own input subset through :meth:`MaskedSolver.member`, which returns a
+column solver for that member's design.
 
-The contract is **bitwise equivalence**: for every target column ``y``,
-``BatchedRidge`` must produce the identical ``coef_`` / ``intercept_``
-(`np.array_equal`, not allclose) that ``RidgeRegressor(alpha).fit(x, y)``
-would. That pins the implementation to the exact same floating-point
-operation sequence per column:
+The contract is **bitwise equivalence**: for every member ``(ids, y)``,
+``BatchedRidge(alpha).masked_solver(x).member(ids).fit_column(y)`` must
+produce the identical ``coef_`` / ``intercept_`` (`np.array_equal`, not
+allclose) that ``RidgeRegressor(alpha).fit(x[:, ids], y)`` would. That
+pins the implementation to the exact same floating-point operation
+sequence per column:
 
-- centering and the Gram product are computed from the same arrays the
-  per-feature path would build (numpy's pairwise summation depends only
-  on the element count and order, never on sibling columns);
+- centering and the Gram product are computed from arrays with the same
+  bits and memory layout the per-feature path would build;
 - both paths solve through the same raw LAPACK pair
   (:func:`repro.learners.ridge.spd_factor` = ``dpotrf``,
   :func:`repro.learners.ridge.spd_solve` = ``dpotrs``) — the exact
-  sequence ``dposv`` runs internally — so sharing the factor across
-  columns does not move a bit, and LAPACK treats 1×1 systems uniformly
-  (no scipy-style scalar-division special case to mirror).
+  sequence ``dposv`` runs internally — and LAPACK treats 1×1 systems
+  uniformly (no scipy-style scalar-division special case to mirror).
 
 Multi-RHS solves (``dpotrs`` on a matrix RHS) are deliberately *not*
 used: blocked BLAS-3 triangular solves are not guaranteed columnwise
-bit-identical to the vector form. Only the factorization is shared; the
-per-column work replays the scalar path verbatim.
+bit-identical to the vector form; every per-column op replays the scalar
+path verbatim.
 
-Masked groups (diverse-FRaC)
-----------------------------
-Diverse-FRaC's tasks share rows but draw per-feature *input subsets*, so
-no two members share a design matrix and the exact-group solver above
-degenerates to singletons. :class:`_RidgeMaskedSolver` batches what such
-a group *does* share — the row gather, the column means, the centered
+What may be shared
+------------------
+Group members share rows but usually not input subsets (the all-others
+wiring, diverse-FRaC's per-feature draws), so no two members need share a
+design matrix. :class:`_RidgeMaskedSolver` batches what a group *does*
+share — the row gather, the column means, the centered
 matrix — and hands each member a :class:`_RidgeColumnSolver` built from
 the member's column gather of that shared centered state. Three measured
 bitwise facts bound what may be shared (docs/performance.md):
@@ -70,15 +69,17 @@ from repro.utils.validation import check_2d, check_consistent_length
 
 
 class BatchedLearner(BaseLearner):
-    """A learner that amortizes per-design-matrix work across many targets.
+    """A learner that amortizes per-group design work across many targets.
 
-    Implementations expose :meth:`solver`, which performs every
-    computation that depends only on the design matrix ``x`` and returns
-    a column solver whose ``fit_column(y)`` yields a fitted single-target
-    learner **bitwise identical** to the registered per-feature learner's
-    ``fit(x, y)``. The engine's batched executor path
-    (:func:`repro.core.engine.run_feature_batch`) calls ``solver`` once
-    per (fold, task-group) and ``fit_column`` once per target feature.
+    Implementations expose :meth:`masked_solver`, which performs every
+    computation that depends only on the group's full-width design ``x``
+    and returns a :class:`MaskedSolver`; its ``member(ids)`` column
+    solver yields, through ``fit_column(y)`` / ``solve_centered``, a
+    fitted single-target learner **bitwise identical** to the registered
+    per-feature learner's ``fit(x[:, ids], y)``. The engine's batched
+    executor path (:func:`repro.core.engine.run_feature_batch`) calls
+    ``masked_solver`` once per (fold, task-group) and ``member`` once per
+    target feature.
 
     Batched learners must be deterministic without a per-task seed: the
     engine does not thread ``learner_seed`` through the batched path
@@ -86,37 +87,17 @@ class BatchedLearner(BaseLearner):
     protocol extension, not a silent drop).
     """
 
-    #: Whether :meth:`masked_solver` is implemented — i.e. whether the
-    #: learner can batch groups that share rows but not input subsets
-    #: (diverse-FRaC). Checked by the engine's planner through
-    #: :func:`repro.learners.registry.supports_masked_batching`.
-    supports_masked = False
-
+    @abstractmethod
     def masked_solver(self, x: np.ndarray, *, check: bool = True) -> "MaskedSolver":
         """Shared state for a full-width design whose members take subsets.
 
         ``x`` carries *every* feature column; each member later selects
-        its own column subset via :meth:`MaskedSolver.member`. Only
-        learners with ``supports_masked = True`` implement this.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support masked batching"
-        )
-
-    @abstractmethod
-    def solver(self, x: np.ndarray, *, check: bool = True) -> "ColumnSolver":
-        """Precompute the shared state for design matrix ``x``.
-
+        its own column subset via :meth:`MaskedSolver.member`.
         ``check=False`` skips input validation; callers may pass it when
         ``x`` is a row subset of a matrix they already validated (the
         engine validates each group design once, not once per fold).
         Validation never touches the fitted floats either way.
         """
-
-    def fit_columns(self, x: np.ndarray, columns) -> list:
-        """Convenience: fit every target column against one shared solver."""
-        shared = self.solver(x)
-        return [shared.fit_column(y) for y in columns]
 
 
 class ColumnSolver:
@@ -275,24 +256,19 @@ class _RidgeMaskedSolver(MaskedSolver):
 
 
 class BatchedRidge(BatchedLearner):
-    """Multi-target ridge: one Gram factorization, many target columns.
+    """Multi-target ridge: shared gathers and centering, per-member solves.
 
-    ``BatchedRidge(alpha).solver(x).fit_column(y)`` is bitwise identical
-    to ``RidgeRegressor(alpha).fit(x, y)`` (the module docstring explains
-    why), and returns an actual fitted :class:`RidgeRegressor` so
-    persistence, scoring, and the resource model see the same artifact
-    type either way.
+    ``BatchedRidge(alpha).masked_solver(x).member(ids).fit_column(y)`` is
+    bitwise identical to ``RidgeRegressor(alpha).fit(x[:, ids], y)`` (the
+    module docstring explains why), and returns an actual fitted
+    :class:`RidgeRegressor` so persistence, scoring, and the resource
+    model see the same artifact type either way.
     """
-
-    supports_masked = True
 
     def __init__(self, alpha: float = 1.0) -> None:
         if alpha <= 0:
             raise ValueError(f"alpha must be positive; got {alpha}")
         self.alpha = float(alpha)
-
-    def solver(self, x: np.ndarray, *, check: bool = True) -> _RidgeColumnSolver:
-        return _RidgeColumnSolver(x, self.alpha, check=check)
 
     def masked_solver(self, x: np.ndarray, *, check: bool = True) -> _RidgeMaskedSolver:
         return _RidgeMaskedSolver(x, self.alpha, check=check)

@@ -99,13 +99,6 @@ def supports_batching(name: str) -> bool:
     return name in BATCHED_REGRESSORS
 
 
-def supports_masked_batching(name: str) -> bool:
-    """Whether ``name``'s batched class also batches masked (per-member
-    input-subset) groups — the diverse-FRaC planner gate."""
-    cls = BATCHED_REGRESSORS.get(name)
-    return cls is not None and bool(getattr(cls, "supports_masked", False))
-
-
 def make_batched_learner(name: str, **kwargs) -> BatchedLearner:
     """Instantiate the batched counterpart of regressor ``name``.
 

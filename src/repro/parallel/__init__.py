@@ -13,7 +13,7 @@ from repro.parallel.faults import (
     TaskTimeoutError,
     WorkerCrashError,
 )
-from repro.parallel.profiling import SectionTimer, sleep_seconds, timed_section
+from repro.parallel.profiling import sleep_seconds
 from repro.parallel.resources import (
     ResourceLog,
     ResourceReport,
@@ -40,7 +40,5 @@ __all__ = [
     "ResourceLog",
     "ResourceReport",
     "design_matrix_bytes",
-    "SectionTimer",
     "sleep_seconds",
-    "timed_section",
 ]

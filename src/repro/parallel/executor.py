@@ -16,21 +16,27 @@ through :func:`get_shared`; per-item payloads must stay small and picklable.
 Work functions receive child seeds derived via ``SeedSequence.spawn`` by the
 caller, so results are identical across modes (DESIGN.md §6).
 
-Fault tolerance
----------------
-With a :class:`~repro.parallel.faults.RetryPolicy` on the config (or a
-checkpoint/fault-plan/failure-report argument), :func:`run_tasks` switches
-from the fail-fast fast path to a resilient scheduler: items get a per-task
-timeout and bounded retries with deterministic backoff; a crashed worker
-breaks only its in-flight chunk, which is resubmitted under a fresh pool
-instead of aborting the batch; exhausted items are *skipped* (their result
-is ``None`` — the NS "otherwise: 0" branch) and recorded in a structured
-:class:`~repro.parallel.faults.FailureReport`. Completed results can stream
-to a :class:`~repro.parallel.checkpoint.CheckpointJournal` so a killed
-batch resumes where it left off, re-executing only missing items. Retries
-re-run the same pure ``fn(item)``, so fault handling never changes values
-— only which items complete — preserving the cross-mode determinism
-contract.
+Scheduling and fault tolerance
+------------------------------
+:func:`run_tasks` runs every batch through one scheduler. The
+:class:`~repro.parallel.faults.RetryPolicy` on the config sets the retry
+budget; with none, the budget is zero retries and the first error raises
+(fail-fast). Pooled modes submit pending items in chunks of
+``ceil(n / (4 * workers))``; a chunk runs its items inside the worker and
+reports each item's value or exception and wall duration, so an exception
+is charged to its own item while the rest of its chunk completes. Items
+get a per-task timeout and bounded retries with deterministic backoff. A
+crashed worker, or a chunk that runs past ``task_timeout × len(chunk)``,
+cannot say which member was at fault: its members are requeued uncharged
+under a fresh pool, and a single-item isolation probe attributes the
+fault. Exhausted items are *skipped* (their result is ``None`` — the NS
+"otherwise: 0" branch) and recorded in a structured
+:class:`~repro.parallel.faults.FailureReport`, unless the policy says to
+raise. Completed results can stream to a
+:class:`~repro.parallel.checkpoint.CheckpointJournal` so a killed batch
+resumes where it left off, re-executing only missing items. Retries re-run
+the same pure ``fn(item)``, so fault handling never changes values — only
+which items complete — preserving the cross-mode determinism contract.
 """
 
 from __future__ import annotations
@@ -104,19 +110,13 @@ class ExecutionConfig:
         ``"serial"``, ``"thread"``, or ``"process"``.
     n_workers:
         Worker count for the pooled modes; ``None`` uses ``os.cpu_count()``.
-    chunk_size:
-        Items per pickled task in process mode; ``None`` picks
-        ``ceil(n_items / (4 * n_workers))``. (The resilient path always
-        submits single-item chunks so failures are attributable.)
     retry:
-        Fault-tolerance policy. ``None`` keeps the legacy fail-fast
-        behaviour: the first task exception propagates and aborts the
-        batch.
+        Fault-tolerance policy. ``None`` means zero retries and fail-fast:
+        the first task exception propagates and aborts the batch.
     """
 
     mode: str = "serial"
     n_workers: "int | None" = None
-    chunk_size: "int | None" = None
     retry: "RetryPolicy | None" = None
 
     def __post_init__(self) -> None:
@@ -124,8 +124,6 @@ class ExecutionConfig:
             raise ReproError(f"mode must be one of {_MODES}; got {self.mode!r}")
         if self.n_workers is not None and self.n_workers < 1:
             raise ReproError(f"n_workers must be >= 1; got {self.n_workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ReproError(f"chunk_size must be >= 1; got {self.chunk_size}")
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             raise ReproError(f"retry must be a RetryPolicy; got {self.retry!r}")
 
@@ -153,8 +151,7 @@ def run_tasks(
     ``shared`` is made available to ``fn`` through :func:`get_shared`
     (installed once per worker, not per item).
 
-    Fault-tolerance arguments (any of them routes the batch through the
-    resilient scheduler; see the module docstring):
+    Fault-tolerance arguments (see the module docstring):
 
     checkpoint:
         A :class:`~repro.parallel.checkpoint.CheckpointJournal`. Items
@@ -181,23 +178,53 @@ def run_tasks(
     """
     config = config or ExecutionConfig()
     items = list(items)
-    resilient = (
-        config.retry is not None
-        or checkpoint is not None
-        or fault_plan is not None
-        or failures is not None
-    )
     if not items:
         return []
-    if not resilient:
-        return _run_fast(fn, items, shared, config, task_key, quiet)
-    outcomes = _run_resilient(
-        fn, items, shared, config, checkpoint, task_key, fault_plan, failures, quiet
-    )
-    return [outcome.value for outcome in outcomes]
+    # With no explicit policy: no retries, and the first error raises,
+    # while checkpoints are still honoured.
+    policy = config.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
 
+    keys: "list[Any] | None" = None
+    if task_key is not None:
+        keys = [task_key(item) for item in items]
+        if len(set(keys)) != len(keys):
+            raise ReproError("task_key produced duplicate keys within one batch")
+    if checkpoint is not None and keys is None:
+        raise ReproError("checkpointing requires a task_key")
 
-# -- legacy fail-fast path ---------------------------------------------------
+    sched = _Scheduler(len(items), policy, keys, checkpoint, failures, quiet)
+
+    pending: list[tuple[int, int]] = []  # (item index, attempts so far)
+    if checkpoint is not None:
+        completed = checkpoint.entries()
+        for i, key in enumerate(keys):
+            if key in completed:
+                sched.record_cached(i, completed[key])
+            else:
+                if sched.bus is not None:
+                    sched.bus.emit(CheckpointMiss(index=i, key=key))
+                pending.append((i, 0))
+        if len(pending) < len(items):
+            _log.info(
+                "checkpoint %s: %d/%d items already complete; resuming %d",
+                getattr(checkpoint, "path", "?"),
+                len(items) - len(pending),
+                len(items),
+                len(pending),
+            )
+    else:
+        pending = [(i, 0) for i in range(len(items))]
+
+    if pending:
+        if config.mode == "serial":
+            _run_serial(fn, items, shared, fault_plan, sched, pending)
+        else:
+            _run_pool(fn, items, shared, config, fault_plan, sched, pending)
+
+    missing = [i for i, outcome in enumerate(sched.outcomes) if outcome is None]
+    if missing:  # pragma: no cover - scheduler invariant
+        raise ReproError(f"scheduler lost track of items {missing}")
+    return [outcome.value for outcome in sched.outcomes]
 
 
 def _init_worker(shared: Any) -> None:
@@ -214,95 +241,6 @@ def _init_worker(shared: Any) -> None:
     _init_shared(shared)
 
 
-def _traced_call(fn: Callable[[T], R], bus: Any, index: int, key: Any, item: T) -> R:
-    """Fast-path unit with task-lifecycle events (serial/thread modes)."""
-    bus.emit(FeatureTaskStarted(index=index, attempt=0, key=key))
-    w0 = profiling.wall_seconds()
-    value = fn(item)
-    bus.emit(
-        FeatureTaskFinished(
-            index=index,
-            status="ok",
-            attempts=1,
-            key=key,
-            duration_s=profiling.wall_seconds() - w0,
-        )
-    )
-    return value
-
-
-def _run_fast(
-    fn: Callable[[T], R],
-    items: list[T],
-    shared: Any,
-    config: ExecutionConfig,
-    task_key: "Callable[[T], Any] | None" = None,
-    quiet: bool = False,
-) -> list[R]:
-    bus = None if quiet else get_bus()
-    keys: "list[Any] | None" = None
-    if bus is not None and task_key is not None:
-        keys = [task_key(item) for item in items]
-
-    def _key(i: int) -> Any:
-        return None if keys is None else keys[i]
-
-    if config.mode == "serial":
-        _init_shared(shared)
-        try:
-            if bus is None:
-                return [fn(item) for item in items]
-            return [
-                _traced_call(fn, bus, i, _key(i), item) for i, item in enumerate(items)
-            ]
-        finally:
-            _init_shared(None)
-
-    if config.mode == "thread":
-        _init_shared(shared)
-        try:
-            with ThreadPoolExecutor(max_workers=config.effective_workers) as pool:
-                if bus is None:
-                    return list(pool.map(fn, items))
-                futures = [
-                    pool.submit(_traced_call, fn, bus, i, _key(i), item)
-                    for i, item in enumerate(items)
-                ]
-                return [fut.result() for fut in futures]
-        finally:
-            _init_shared(None)
-
-    # process mode: fork so workers inherit nothing-to-pickle views of the
-    # shared arrays (POSIX only; matches this library's target platform).
-    ctx = mp.get_context("fork")
-    n_workers = config.effective_workers
-    chunk = config.chunk_size or max(1, (len(items) + 4 * n_workers - 1) // (4 * n_workers))
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        mp_context=ctx,
-        initializer=_init_worker,
-        initargs=(shared,),
-    ) as pool:
-        if bus is None:
-            return list(pool.map(fn, items, chunksize=chunk))
-        # Chunked map cannot attribute per-item time; emit the lifecycle
-        # parent-side (dispatch batch up front, completion in map order).
-        for i in range(len(items)):
-            bus.emit(FeatureTaskStarted(index=i, attempt=0, key=_key(i)))
-        out: list[R] = []
-        for i, value in enumerate(pool.map(fn, items, chunksize=chunk)):
-            bus.emit(
-                FeatureTaskFinished(
-                    index=i, status="ok", attempts=1, key=_key(i), duration_s=None
-                )
-            )
-            out.append(value)
-        return out
-
-
-# -- resilient path ----------------------------------------------------------
-
-
 def _apply(
     fn: Callable[[T], R],
     fault_plan: "FaultPlan | None",
@@ -310,14 +248,37 @@ def _apply(
     attempt: int,
     item: T,
 ) -> R:
-    """The unit the resilient path executes (module-level: picklable)."""
+    """The single-item unit (module-level: picklable)."""
     if fault_plan is not None:
         fault_plan.apply(index, attempt)
     return fn(item)
 
 
+def _apply_chunk(
+    fn: Callable[[T], R],
+    fault_plan: "FaultPlan | None",
+    chunk: "list[tuple[int, int, T]]",
+) -> "list[tuple[bool, Any, float]]":
+    """The unit a pooled wave executes (module-level: picklable).
+
+    Runs each ``(index, attempt, item)`` inside the worker and returns one
+    ``(ok, value or exception, wall seconds)`` per item, so an exception
+    is charged to its own item and the rest of the chunk still completes.
+    """
+    out: "list[tuple[bool, Any, float]]" = []
+    for index, attempt, item in chunk:
+        w0 = profiling.wall_seconds()
+        try:
+            value = _apply(fn, fault_plan, index, attempt, item)
+        except Exception as exc:
+            out.append((False, exc, profiling.wall_seconds() - w0))
+        else:
+            out.append((True, value, profiling.wall_seconds() - w0))
+    return out
+
+
 class _Scheduler:
-    """Shared bookkeeping for the serial and pooled resilient runners."""
+    """Shared bookkeeping for the serial and pooled runners."""
 
     def __init__(
         self,
@@ -411,65 +372,7 @@ class _Scheduler:
         )
 
 
-def _run_resilient(
-    fn: Callable[[T], R],
-    items: list[T],
-    shared: Any,
-    config: ExecutionConfig,
-    checkpoint: Any,
-    task_key: "Callable[[T], Any] | None",
-    fault_plan: "FaultPlan | None",
-    failures: "FailureReport | None",
-    quiet: bool = False,
-) -> list[TaskOutcome]:
-    # With no explicit policy the resilient path keeps fail-fast semantics
-    # (no retries, first error raises) while still honouring checkpoints.
-    policy = config.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
-
-    keys: "list[Any] | None" = None
-    if task_key is not None:
-        keys = [task_key(item) for item in items]
-        if len(set(keys)) != len(keys):
-            raise ReproError("task_key produced duplicate keys within one batch")
-    if checkpoint is not None and keys is None:
-        raise ReproError("checkpointing requires a task_key")
-
-    sched = _Scheduler(len(items), policy, keys, checkpoint, failures, quiet)
-
-    pending: list[tuple[int, int]] = []  # (item index, attempts so far)
-    if checkpoint is not None:
-        completed = checkpoint.entries()
-        for i, key in enumerate(keys):
-            if key in completed:
-                sched.record_cached(i, completed[key])
-            else:
-                if sched.bus is not None:
-                    sched.bus.emit(CheckpointMiss(index=i, key=key))
-                pending.append((i, 0))
-        if len(pending) < len(items):
-            _log.info(
-                "checkpoint %s: %d/%d items already complete; resuming %d",
-                getattr(checkpoint, "path", "?"),
-                len(items) - len(pending),
-                len(items),
-                len(pending),
-            )
-    else:
-        pending = [(i, 0) for i in range(len(items))]
-
-    if pending:
-        if config.mode == "serial":
-            _run_resilient_serial(fn, items, shared, fault_plan, sched, pending)
-        else:
-            _run_resilient_pool(fn, items, shared, config, fault_plan, sched, pending)
-
-    missing = [i for i, outcome in enumerate(sched.outcomes) if outcome is None]
-    if missing:  # pragma: no cover - scheduler invariant
-        raise ReproError(f"scheduler lost track of items {missing}")
-    return list(sched.outcomes)
-
-
-def _run_resilient_serial(
+def _run_serial(
     fn: Callable[[T], R],
     items: list[T],
     shared: Any,
@@ -581,7 +484,7 @@ def _charge(
             )
 
 
-def _run_resilient_pool(
+def _run_pool(
     fn: Callable[[T], R],
     items: list[T],
     shared: Any,
@@ -618,6 +521,43 @@ def _run_resilient_pool(
             _init_shared(None)
 
 
+def _settle(
+    sched: _Scheduler,
+    queue: "deque[tuple[int, int]]",
+    retry_attempts: list[int],
+    chunk: "list[tuple[int, int]]",
+    results: "list[tuple[bool, Any, float]]",
+) -> None:
+    """Record a finished chunk item by item (see :func:`_apply_chunk`)."""
+    for (index, attempt), (ok, payload, duration) in zip(chunk, results):
+        if ok:
+            sched.record_ok(index, attempt + 1, payload, duration)
+        else:
+            _charge(sched, queue, retry_attempts, index, attempt + 1, "exception", payload)
+
+
+def _chunk_failed(
+    sched: _Scheduler,
+    queue: "deque[tuple[int, int]]",
+    retry_attempts: list[int],
+    chunk: "list[tuple[int, int]]",
+    kind: str,
+    exc: BaseException,
+) -> bool:
+    """A chunk failed as a whole (timeout, or an error outside any item).
+
+    A single member is the culprit and is charged. A multi-item chunk
+    cannot say which member was at fault: requeue them all uncharged and
+    return ``True`` to ask for an isolation probe.
+    """
+    if len(chunk) == 1:
+        index, attempt = chunk[0]
+        _charge(sched, queue, retry_attempts, index, attempt + 1, kind, exc)
+        return False
+    queue.extend(chunk)
+    return True
+
+
 def _wide_wave(
     fn: Callable[[T], R],
     items: list[T],
@@ -628,87 +568,86 @@ def _wide_wave(
     queue: "deque[tuple[int, int]]",
     retry_attempts: list[int],
 ) -> bool:
-    """Run every pending item under a fresh full-width pool.
+    """Run every pending item under a fresh full-width pool, in chunks.
 
-    A wave that breaks — worker crash or per-task timeout — harvests
-    whatever finished, requeues the survivors untouched, and recycles the
-    pool. A *timeout* is attributable (the timed-out future is known
-    exactly) and is charged directly. A *crash* is not: the dying worker
-    marks every in-flight future ``BrokenExecutor``, so whichever future
-    the harvest loop happened to be blocked on is as likely an innocent
-    bystander as the culprit. Crash waves therefore charge nobody and
-    return ``True``, asking the caller to run an isolation probe next.
+    Items go out in chunks of ``ceil(n / (4 * workers))``
+    (:func:`_apply_chunk`), which keeps per-submission overhead small while
+    leaving enough chunks to balance the load. A finished chunk is
+    attributable item by item. A wave that breaks — worker crash or
+    timeout — harvests whatever finished, requeues the survivors
+    untouched, and recycles the pool. A timed-out single-item chunk is
+    charged directly; a timed-out multi-item chunk is not attributable.
+    Neither is a *crash*: the dying worker marks every in-flight future
+    ``BrokenExecutor``, so whichever future the harvest loop happened to
+    be blocked on is as likely an innocent bystander as the culprit. Such
+    waves charge nobody for it and return ``True``, asking the caller to
+    run an isolation probe next.
     """
     policy = sched.policy
     bus = sched.bus
-    pool = _make_pool(config.mode, config.effective_workers, shared)
+    n_workers = config.effective_workers
     batch = list(queue)
     queue.clear()
-    broken = False
-    crashed = False
-    submitted_at: dict[int, float] = {}
+    size = -(-len(batch) // (4 * n_workers))
+    chunks = [batch[lo : lo + size] for lo in range(0, len(batch), size)]
+    pool = _make_pool(config.mode, n_workers, shared)
+    broken = crashed = probe = False
     try:
-        futures: "list[tuple[int, int, Future | None]]" = []
-        for index, attempt in batch:
-            if broken:
-                futures.append((index, attempt, None))
-                continue
-            try:
-                fut = pool.submit(_apply, fn, fault_plan, index, attempt, items[index])
-            except (BrokenExecutor, RuntimeError) as exc:
-                # The pool died while the wave was still being submitted;
-                # everything from here on re-runs after the isolation probe.
-                _log.warning("pool broke during submission: %s", exc)
-                broken = crashed = True
-                futures.append((index, attempt, None))
-            else:
-                if bus is not None:
-                    bus.emit(
-                        FeatureTaskStarted(
-                            index=index, attempt=attempt, key=sched.key_for(index)
-                        )
+        futures: "list[tuple[list[tuple[int, int]], Future | None]]" = []
+        for chunk in chunks:
+            fut = None
+            if not broken:
+                try:
+                    fut = pool.submit(
+                        _apply_chunk,
+                        fn,
+                        fault_plan,
+                        [(index, attempt, items[index]) for index, attempt in chunk],
                     )
-                    submitted_at[index] = profiling.wall_seconds()
-                futures.append((index, attempt, fut))
+                except (BrokenExecutor, RuntimeError) as exc:
+                    # The pool died while the wave was still being submitted;
+                    # everything from here on re-runs after the isolation probe.
+                    _log.warning("pool broke during submission: %s", exc)
+                    broken = crashed = True
+                else:
+                    if bus is not None:
+                        for index, attempt in chunk:
+                            bus.emit(
+                                FeatureTaskStarted(
+                                    index=index, attempt=attempt, key=sched.key_for(index)
+                                )
+                            )
+            futures.append((chunk, fut))
 
-        def _elapsed(index: int) -> "float | None":
-            t0 = submitted_at.get(index)
-            return None if t0 is None else profiling.wall_seconds() - t0
-
-        for index, attempt, fut in futures:
+        for chunk, fut in futures:
             if fut is None:
-                queue.append((index, attempt))
+                queue.extend(chunk)
                 continue
             if broken:
-                # Pool already declared dead: keep any result that finished
-                # before the break, requeue the rest at an unchanged attempt
-                # count (none of them is known to be at fault).
+                # Pool already declared dead: keep any chunk that finished
+                # before the break, requeue the rest at unchanged attempt
+                # counts (none of them is known to be at fault).
                 if fut.done() and not fut.cancelled() and fut.exception() is None:
-                    sched.record_ok(index, attempt + 1, fut.result(), _elapsed(index))
+                    _settle(sched, queue, retry_attempts, chunk, fut.result())
                 else:
                     fut.cancel()
-                    exc = fut.exception() if fut.done() and not fut.cancelled() else None
-                    if exc is not None and not isinstance(exc, BrokenExecutor):
-                        _charge(
-                            sched, queue, retry_attempts, index, attempt + 1, "exception", exc
-                        )
-                    else:
-                        queue.append((index, attempt))
+                    queue.extend(chunk)
                 continue
+            timeout = None if policy.task_timeout is None else policy.task_timeout * len(chunk)
             try:
-                value = fut.result(timeout=policy.task_timeout)
+                results = fut.result(timeout=timeout)
             except FuturesTimeoutError as exc:
-                # The item is hung (or too slow). The pool cannot be trusted
+                # The chunk is hung (or too slow). The pool cannot be trusted
                 # to free the worker, so recycle it.
                 broken = True
-                _charge(sched, queue, retry_attempts, index, attempt + 1, "timeout", exc)
+                probe |= _chunk_failed(sched, queue, retry_attempts, chunk, "timeout", exc)
             except BrokenExecutor:
                 broken = crashed = True
-                queue.append((index, attempt))
+                queue.extend(chunk)
             except Exception as exc:
-                _charge(sched, queue, retry_attempts, index, attempt + 1, "exception", exc)
+                probe |= _chunk_failed(sched, queue, retry_attempts, chunk, "exception", exc)
             else:
-                sched.record_ok(index, attempt + 1, value, _elapsed(index))
+                _settle(sched, queue, retry_attempts, chunk, results)
         if crashed and bus is not None:
             # One event per broken wave, emitted after the harvest settles so
             # the requeue count is exact. The phase is always "wave" whether
@@ -719,7 +658,7 @@ def _wide_wave(
             )
     finally:
         _teardown_pool(pool, broken)
-    return crashed
+    return crashed or probe
 
 
 def _isolation_probe(
@@ -735,10 +674,11 @@ def _isolation_probe(
     """Re-run queued items one at a time under a single-worker pool.
 
     After a wide wave breaks on a worker crash, the broken pool cannot say
-    which in-flight item killed it. With exactly one item in flight a crash
-    is attributable with certainty: charge that item, requeue the untried
-    remainder for the next full-width wave, and return. A probe that runs
-    dry without crashing has simply finished the batch.
+    which in-flight item killed it; nor can a multi-item chunk that timed
+    out say which member hung. With exactly one item in flight a crash or
+    a timeout is attributable with certainty: charge that item, requeue
+    the untried remainder for the next full-width wave, and return. A
+    probe that runs dry without a fault has simply finished the batch.
     """
     policy = sched.policy
     bus = sched.bus

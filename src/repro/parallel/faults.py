@@ -2,7 +2,7 @@
 
 At SNP scale a per-feature batch holds ~170k work items; one hung learner
 or one crashed worker must not discard hours of finished training. This
-module defines the vocabulary the executor's resilient path speaks:
+module defines the vocabulary the executor's scheduler speaks:
 
 - :class:`RetryPolicy` — per-task timeout plus bounded retry with a
   deterministic exponential-backoff schedule;

@@ -1,13 +1,12 @@
-"""Lightweight profiling helpers (wall + CPU timing of code sections).
+"""Clock, resource, and sleep primitives.
 
 This module is the only place the library may read clocks (enforced by
 fraclint rule FRL007, see docs/invariants.md): timing must stay an
 *observation* — never an input to results — so every consumer routes
 through here, where the nondeterminism is contained and auditable. The
 telemetry layer (:mod:`repro.telemetry`) builds on these primitives;
-:class:`SectionTimer` remains as the dependency-free local accumulator,
-while traced runs should prefer :func:`repro.telemetry.span`, which
-feeds the same numbers through the event bus.
+code sections are timed with :func:`repro.telemetry.span`, which feeds
+the numbers through the event bus.
 """
 
 from __future__ import annotations
@@ -15,44 +14,6 @@ from __future__ import annotations
 import resource
 import sys
 import time
-import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-
-@dataclass
-class SectionTimer:
-    """Accumulates named section timings; useful for harness breakdowns.
-
-    For traced runs prefer :func:`repro.telemetry.span`: spans nest,
-    carry RSS, and land in the trace file. SectionTimer stays for
-    callers that want purely local numbers with no bus configured.
-    """
-
-    wall: dict[str, float] = field(default_factory=dict)
-    cpu: dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def section(self, name: str):
-        w0, c0 = time.perf_counter(), time.process_time()
-        try:
-            yield
-        finally:
-            self.wall[name] = self.wall.get(name, 0.0) + (time.perf_counter() - w0)
-            self.cpu[name] = self.cpu.get(name, 0.0) + (time.process_time() - c0)
-
-    def summary(self) -> str:
-        """Sections sorted by descending wall time, with a total line."""
-        ordered = sorted(self.wall, key=lambda name: (-self.wall[name], name))
-        lines = [
-            f"{name}: wall={self.wall[name]:.3f}s cpu={self.cpu[name]:.3f}s"
-            for name in ordered
-        ]
-        lines.append(
-            f"total: wall={sum(self.wall.values()):.3f}s "
-            f"cpu={sum(self.cpu.values()):.3f}s"
-        )
-        return "\n".join(lines)
 
 
 def cpu_seconds() -> float:
@@ -88,31 +49,3 @@ def sleep_seconds(seconds: float) -> None:
     """
     if seconds > 0:
         time.sleep(seconds)
-
-
-@contextmanager
-def timed_section(label: str, sink: "list[tuple[str, float]] | None" = None):
-    """Time one section; route it through the telemetry span layer.
-
-    .. deprecated:: the ``sink`` tuple-list argument. Pass a
-       :func:`repro.telemetry.span` around the section (or read the
-       yielded handle) instead; the tuple sink is kept for one
-       deprecation cycle and still receives ``(label, wall_seconds)``.
-    """
-    if sink is not None:
-        warnings.warn(
-            "timed_section(sink=...) is deprecated; use repro.telemetry.span "
-            "(events carry the same wall time, plus CPU and RSS)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    from repro.telemetry.spans import span as _span  # lazy: avoid import cycle
-
-    start = time.perf_counter()
-    try:
-        with _span(label):  # no-op (and clock-free) when telemetry is off
-            yield
-    finally:
-        elapsed = time.perf_counter() - start
-        if sink is not None:
-            sink.append((label, elapsed))

@@ -11,8 +11,7 @@ its results:
   stamped records to pluggable sinks and a metrics registry;
 - :mod:`~repro.telemetry.sinks` — JSONL trace file (kill-tolerant),
   in-memory collector, throttled stderr progress line;
-- :mod:`~repro.telemetry.spans` — nested wall/CPU/RSS phase accounting
-  (the successor of ``profiling.SectionTimer``);
+- :mod:`~repro.telemetry.spans` — nested wall/CPU/RSS phase accounting;
 - :mod:`~repro.telemetry.metrics` — deterministic counters / gauges /
   fixed-bucket histograms;
 - :mod:`~repro.telemetry.trace` — the read/summarize/render toolchain

@@ -154,9 +154,10 @@ class FeatureTaskFinished(TelemetryEvent):
 
     ``status``: ``"ok"`` (executed), ``"cached"`` (replayed from the
     checkpoint journal), or ``"skipped"`` (retries exhausted; ``kind``
-    holds the failure class). ``duration_s`` is the scheduler-observed
-    wall time of the final attempt, ``None`` where the execution mode
-    cannot attribute per-item time (process-mode chunked map).
+    holds the failure class). ``duration_s`` is the wall time of the
+    final attempt in every execution mode (measured inside the worker for
+    pooled waves), ``None`` for cached items and for features the engine
+    trained inside a batch, whose shared time it does not split.
     """
 
     name: ClassVar[str] = "FeatureTaskFinished"

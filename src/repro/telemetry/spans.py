@@ -47,8 +47,7 @@ def span(name: str, *, bus=None, attrs: "dict | None" = None):
     ``bus`` defaults to the ambient bus; with no bus installed the
     context is a pure pass-through (zero overhead when off). Yields a
     :class:`SpanHandle` whose timings are filled in at exit, so callers
-    that also want the numbers locally (e.g. the deprecated
-    ``timed_section`` shim) need not re-measure. ``attrs`` are
+    that also want the numbers locally need not re-measure. ``attrs`` are
     deterministic phase parameters stamped onto both paired events
     (batch size, plan-group key — facts about the work, never timings).
     """

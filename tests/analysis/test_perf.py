@@ -165,18 +165,20 @@ class TestLedger:
         top = ledger.entries[0]
         assert top.rank == 1
         assert top.rule == "FRL015"
-        assert top.path.endswith("core/engine.py")
+        assert top.attributed_via == "repro.core.engine.run_feature_batch"
         assert top.wall_s is not None and top.wall_s > 0
-        assert top.audited and "Open item 1" in top.audit_note
+        assert top.audited
 
     def test_scoring_entries_price_below_training(self, ledger):
         """The scoring half of the rewrite, visible in the ranking: every
-        finding attributed to ``score_contributions`` now costs a small
-        fraction of the top training entry."""
+        finding attributed to scoring (``score_contributions`` or its
+        batched ``gather_surprisals``) now costs a small fraction of the
+        top training entry."""
         scoring = [
             e
             for e in ledger.entries
-            if e.attributed_via is not None and "score_contributions" in e.attributed_via
+            if e.attributed_via
+            in ("repro.core.engine.score_contributions", "repro.core.engine.gather_surprisals")
         ]
         assert scoring, "the scoring gathers should still be priced"
         top_wall = ledger.entries[0].wall_s

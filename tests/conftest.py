@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.data.synthetic import (
     make_expression_dataset,
     make_snp_dataset,
 )
+from repro.learners import registry
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -36,6 +38,24 @@ def _session_trace():
     runtime.configure(trace_path=path)
     yield
     runtime.shutdown()
+
+
+@pytest.fixture
+def per_feature_path(monkeypatch):
+    """Context manager that forces the per-feature reference path.
+
+    Inside the block ``"ridge"`` has no batched counterpart, so the engine
+    trains every feature through ``run_feature_task`` — the reference side
+    of the byte-equivalence suites. Outside it the batched path runs.
+    """
+
+    @contextlib.contextmanager
+    def force():
+        with monkeypatch.context() as patch:
+            patch.delitem(registry.BATCHED_REGRESSORS, "ridge")
+            yield
+
+    return force
 
 
 @pytest.fixture

@@ -1,16 +1,15 @@
-"""The byte-equivalence proof harness for batched training (ISSUE 7).
+"""The byte-equivalence proof harness for batched training.
 
-``config.batched_training`` must be a pure execution-strategy switch:
-every score, contribution, surprisal, and persisted artifact a detector
-produces with batching on must equal — ``np.array_equal``, never
-``allclose`` — what the per-feature reference path produces, in every
+The batched path must be a pure execution strategy: every score,
+contribution, surprisal, and persisted artifact a detector produces
+through it must equal — ``np.array_equal``, never ``allclose`` — what
+the per-feature reference path produces (forced by the
+``per_feature_path`` fixture), in every
 execution mode, including under NaN-masked features and
 ``min_observed`` dropouts. Telemetry must be replay-identical too: the
 per-feature ``FoldTrained`` / task-lifecycle event counts cannot depend
 on the path taken.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -51,15 +50,13 @@ def make_mixed_data(rng_seed=3, n=60, d=12, nan_frac=0.05, starve=()):
     return x, x_test, FeatureSchema(tuple(specs))
 
 
-def fit_both(x, schema, *, config=None, rng=0):
+def fit_both(x, schema, per_feature_path, *, config=None, rng=0):
     """(batched detector, per-feature detector) on identical data/seed."""
-    out = []
     cfg = config or FRaCConfig(regressor="ridge", classifier="tree")
-    for batched in (True, False):
-        det = FRaC(dataclasses.replace(cfg, batched_training=batched), rng=rng)
-        det.fit(x, schema=schema)
-        out.append(det)
-    return out
+    batched = FRaC(cfg, rng=rng).fit(x, schema=schema)
+    with per_feature_path():
+        scalar = FRaC(cfg, rng=rng).fit(x, schema=schema)
+    return batched, scalar
 
 
 def assert_models_identical(a, b):
@@ -79,9 +76,9 @@ def assert_models_identical(a, b):
 
 
 class TestByteEquivalence:
-    def test_scores_contributions_and_surprisals(self):
+    def test_scores_contributions_and_surprisals(self, per_feature_path):
         x, x_test, schema = make_mixed_data()
-        batched, scalar = fit_both(x, schema)
+        batched, scalar = fit_both(x, schema, per_feature_path)
         np.testing.assert_array_equal(batched.score(x_test), scalar.score(x_test))
         np.testing.assert_array_equal(
             batched.contributions(x_test).values,
@@ -91,21 +88,21 @@ class TestByteEquivalence:
         cv_s = [m.cv_mean_surprisal for m in scalar.models_ if m is not None]
         assert cv_b == cv_s
 
-    def test_fitted_artifacts_identical(self):
+    def test_fitted_artifacts_identical(self, per_feature_path):
         x, _, schema = make_mixed_data()
-        batched, scalar = fit_both(x, schema)
+        batched, scalar = fit_both(x, schema, per_feature_path)
         assert_models_identical(batched, scalar)
 
-    def test_min_observed_dropouts_match(self):
+    def test_min_observed_dropouts_match(self, per_feature_path):
         x, x_test, schema = make_mixed_data(starve=(1, 5))
-        batched, scalar = fit_both(x, schema)
+        batched, scalar = fit_both(x, schema, per_feature_path)
         holes_b = [m is None for m in batched.models_]
         holes_s = [m is None for m in scalar.models_]
         assert holes_b == holes_s
         np.testing.assert_array_equal(batched.score(x_test), scalar.score(x_test))
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_batched_scores_identical_across_modes(self, mode):
+    def test_batched_scores_identical_across_modes(self, mode, per_feature_path):
         x, x_test, schema = make_mixed_data()
         cfg = FRaCConfig(
             regressor="ridge",
@@ -114,16 +111,13 @@ class TestByteEquivalence:
         )
         det = FRaC(cfg, rng=0)
         det.fit(x, schema=schema)
-        reference, _ = fit_both(x, schema)
+        reference, _ = fit_both(x, schema, per_feature_path)
         np.testing.assert_array_equal(det.score(x_test), reference.score(x_test))
 
 
 class TestTelemetryReplayIdentical:
-    def _event_multiset(self, x, schema, batched):
-        cfg = dataclasses.replace(
-            FRaCConfig(regressor="ridge", classifier="tree"),
-            batched_training=batched,
-        )
+    def _event_multiset(self, x, schema):
+        cfg = FRaCConfig(regressor="ridge", classifier="tree")
         sink = MemorySink()
         previous = telemetry_runtime.set_bus(EventBus([sink]))
         try:
@@ -147,11 +141,12 @@ class TestTelemetryReplayIdentical:
             out[key] = out.get(key, 0) + 1
         return out
 
-    def test_per_feature_event_counts_match(self):
+    def test_per_feature_event_counts_match(self, per_feature_path):
         x, _, schema = make_mixed_data()
-        assert self._event_multiset(x, schema, True) == self._event_multiset(
-            x, schema, False
-        )
+        batched = self._event_multiset(x, schema)
+        with per_feature_path():
+            scalar = self._event_multiset(x, schema)
+        assert batched == scalar
 
 
 class TestPlanFeatureBatches:
@@ -236,25 +231,24 @@ class TestFixedInputsSelector:
         with pytest.raises(DataError):
             sel(2, 0, gen)
 
-    def test_panel_wiring_is_byte_equivalent_with_real_groups(self):
+    def test_panel_wiring_is_byte_equivalent_with_real_groups(self, per_feature_path):
         """With a shared fixed panel the planner forms genuine multi-member
         batches (not singletons); equivalence must hold there too."""
         x, x_test, schema = make_mixed_data(nan_frac=0.0)
         panel = [0, 2]
         targets = [j for j in range(12) if j not in panel]
-        out = []
-        for batched in (True, False):
-            cfg = FRaCConfig(
-                regressor="ridge", classifier="tree", batched_training=batched
-            )
+
+        def fit():
             det = FRaC(
-                cfg,
+                FRaCConfig(regressor="ridge", classifier="tree"),
                 target_features=targets,
                 input_selector=fixed_inputs_selector(panel),
                 rng=0,
             )
-            det.fit(x, schema=schema)
-            out.append(det)
-        batched, scalar = out
+            return det.fit(x, schema=schema)
+
+        batched = fit()
+        with per_feature_path():
+            scalar = fit()
         np.testing.assert_array_equal(batched.score(x_test), scalar.score(x_test))
         assert_models_identical(batched, scalar)

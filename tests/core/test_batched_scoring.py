@@ -1,4 +1,4 @@
-"""Batched scoring + masked diverse training byte-equivalence (ISSUE 10).
+"""Batched scoring + masked diverse training byte-equivalence.
 
 :func:`repro.core.engine.gather_surprisals` now groups fitted models by
 ``(observed-mask, error-model type)`` and scores each group with matrix
@@ -7,11 +7,10 @@ this file pins the rewrite against — ``np.array_equal``, never
 ``allclose`` — across execution modes, NaN-masked test targets,
 categorical (confusion) groups, and all-missing columns. The training
 half gets the same treatment: diverse-FRaC's per-member input subsets
-ride the masked planner groups, and every fitted artifact must equal the
-per-feature reference bit for bit, down to single-input members.
+ride the mask-keyed planner groups, and every fitted artifact must equal
+the per-feature reference (forced by the ``per_feature_path`` fixture)
+bit for bit, down to single-input members.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -48,11 +47,10 @@ def reference_gather_surprisals(models, x_test_imputed, x_test_targets, out):
         )
 
 
-def fit_detector(x, schema, *, batched=True, rng=0, mode="serial", n_workers=1):
+def fit_detector(x, schema, *, rng=0, mode="serial", n_workers=1):
     cfg = FRaCConfig(
         regressor="ridge",
         classifier="tree",
-        batched_training=batched,
         execution=ExecutionConfig(mode=mode, n_workers=n_workers),
     )
     det = FRaC(cfg, rng=rng)
@@ -134,20 +132,18 @@ class TestBatchedScoringEquivalence:
 class TestMaskedDiverseEquivalence:
     """Training half: diverse input subsets ride masked planner groups."""
 
-    def _fit_pair(self, p, *, rng=0, seed=3):
+    def _fit_pair(self, p, per_feature_path, *, rng=0, seed=3):
         x, x_test, schema = make_mixed_data(rng_seed=seed)
-        out = []
-        for batched in (True, False):
-            cfg = FRaCConfig(
-                regressor="ridge", classifier="tree", batched_training=batched
-            )
-            det = DiverseFRaC(p=p, config=cfg, rng=rng)
-            det.fit(x, schema)
-            out.append(det)
-        return out, x_test
+        cfg = FRaCConfig(regressor="ridge", classifier="tree")
+        batched = DiverseFRaC(p=p, config=cfg, rng=rng)
+        batched.fit(x, schema)
+        with per_feature_path():
+            scalar = DiverseFRaC(p=p, config=cfg, rng=rng)
+            scalar.fit(x, schema)
+        return (batched, scalar), x_test
 
-    def test_diverse_fit_is_byte_identical(self):
-        (batched, scalar), x_test = self._fit_pair(0.5)
+    def test_diverse_fit_is_byte_identical(self, per_feature_path):
+        (batched, scalar), x_test = self._fit_pair(0.5, per_feature_path)
         assert_models_identical(batched._inner, scalar._inner)
         np.testing.assert_array_equal(batched.score(x_test), scalar.score(x_test))
         np.testing.assert_array_equal(
@@ -155,17 +151,17 @@ class TestMaskedDiverseEquivalence:
             scalar.contributions(x_test).values,
         )
 
-    def test_tiny_p_exercises_single_input_members(self):
+    def test_tiny_p_exercises_single_input_members(self, per_feature_path):
         """Small p draws single-input subsets, which take the masked
         solver's raw-column fallback; equivalence must hold there too."""
-        (batched, scalar), x_test = self._fit_pair(0.05)
+        (batched, scalar), x_test = self._fit_pair(0.05, per_feature_path)
         sizes = [len(m.input_ids) for m in batched._inner.models_]
         assert any(s <= 1 for s in sizes), "fixture no longer draws d<=1 members"
         assert_models_identical(batched._inner, scalar._inner)
         np.testing.assert_array_equal(batched.score(x_test), scalar.score(x_test))
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_diverse_scores_identical_across_modes(self, mode):
+    def test_diverse_scores_identical_across_modes(self, mode, per_feature_path):
         x, x_test, schema = make_mixed_data()
         cfg = FRaCConfig(
             regressor="ridge",
@@ -174,13 +170,10 @@ class TestMaskedDiverseEquivalence:
         )
         det = DiverseFRaC(p=0.5, config=cfg, rng=0)
         det.fit(x, schema)
-        ref_cfg = dataclasses.replace(
-            cfg,
-            batched_training=False,
-            execution=ExecutionConfig(mode="serial", n_workers=1),
-        )
-        ref = DiverseFRaC(p=0.5, config=ref_cfg, rng=0)
-        ref.fit(x, schema)
+        ref_cfg = FRaCConfig(regressor="ridge", classifier="tree")
+        with per_feature_path():
+            ref = DiverseFRaC(p=0.5, config=ref_cfg, rng=0)
+            ref.fit(x, schema)
         np.testing.assert_array_equal(det.score(x_test), ref.score(x_test))
 
 
@@ -217,24 +210,12 @@ class TestMaskedPlanner:
         tasks = self._diverse_tasks(d)
         batches, passthrough = plan_feature_batches(tasks, shared)
         assert passthrough == []
-        assert len(batches) == 1 and batches[0].masked
+        assert len(batches) == 1
         assert [t.feature_id for t in batches[0].tasks] == list(range(d))
 
-    def test_masked_false_reproduces_exact_grouping(self):
-        """The singleton-batch baseline bench_table4 prices against."""
-        d = 6
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(25, d))
-        shared = self._shared(x, self._real_schema(d))
-        tasks = self._diverse_tasks(d)
-        batches, passthrough = plan_feature_batches(tasks, shared, masked=False)
-        assert passthrough == []
-        assert len(batches) == len(tasks)
-        assert all(not b.masked for b in batches)
-
-    def test_identical_inputs_keep_exact_batches(self):
-        """One ids-subgroup per mask → the exact (non-masked) grouping,
-        byte-compatible with pre-masked planner output."""
+    def test_identical_inputs_group_by_mask_alone(self):
+        """Shared input ids change nothing: the mask alone keys the group,
+        and its label is the same digest as for distinct inputs."""
         d = 6
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, d))
@@ -246,7 +227,10 @@ class TestMaskedPlanner:
         ]
         batches, passthrough = plan_feature_batches(tasks, shared)
         assert passthrough == []
-        assert len(batches) == 1 and not batches[0].masked
+        assert len(batches) == 1
+        assert [t.feature_id for t in batches[0].tasks] == list(range(2, d))
+        distinct, _ = plan_feature_batches(self._diverse_tasks(d), shared)
+        assert [b.group for b in distinct] == [batches[0].group]
 
     def test_masked_batches_respect_max_batch(self):
         d = MAX_BATCH_FEATURES + 9
@@ -261,7 +245,7 @@ class TestMaskedPlanner:
         assert sum(sizes) == len(tasks)
         flat = [t.feature_id for b in batches for t in b.tasks]
         assert flat == [t.feature_id for t in tasks]
-        assert all(b.masked for b in batches)
+        assert len({b.group for b in batches}) == 1
 
     def test_nan_holes_split_masks(self):
         """Tasks whose targets observe different rows cannot share a
@@ -274,19 +258,16 @@ class TestMaskedPlanner:
         tasks = self._diverse_tasks(d)
         batches, passthrough = plan_feature_batches(tasks, shared)
         assert passthrough == []
-        owners = {
-            tuple(sorted(t.feature_id for t in b.tasks)): b.masked for b in batches
-        }
-        assert (0,) in owners  # feature 0 isolated by its mask
-        assert tuple(range(1, d)) in owners
+        owners = {tuple(sorted(t.feature_id for t in b.tasks)) for b in batches}
+        assert owners == {(0,), tuple(range(1, d))}  # feature 0 isolated by its mask
 
 
 class TestScoringTelemetry:
-    def _records(self, x, x_test, schema, batched):
+    def _records(self, x, x_test, schema):
         sink = MemorySink()
         previous = telemetry_runtime.set_bus(EventBus([sink]))
         try:
-            det = fit_detector(x, schema, batched=batched)
+            det = fit_detector(x, schema)
             det.score(x_test)
         finally:
             telemetry_runtime.set_bus(previous)
@@ -312,15 +293,16 @@ class TestScoringTelemetry:
             out[key] = out.get(key, 0) + 1
         return out
 
-    def test_event_multiset_replay_identical_across_paths(self):
+    def test_event_multiset_replay_identical_across_paths(self, per_feature_path):
         x, x_test, schema = make_mixed_data()
-        a = self._multiset(self._records(x, x_test, schema, True))
-        b = self._multiset(self._records(x, x_test, schema, False))
+        a = self._multiset(self._records(x, x_test, schema))
+        with per_feature_path():
+            b = self._multiset(self._records(x, x_test, schema))
         assert a == b
 
     def test_score_batch_span_emitted_with_model_count(self):
         x, x_test, schema = make_mixed_data()
-        records = self._records(x, x_test, schema, True)
+        records = self._records(x, x_test, schema)
         spans = [
             r.event
             for r in records

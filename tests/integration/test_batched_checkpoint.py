@@ -1,10 +1,11 @@
-"""Batched execution vs checkpoint/fault semantics (ISSUE 7 satellites).
+"""Batched execution vs checkpoint/fault semantics.
 
 The batched executor path must preserve the per-feature path's crash
 model exactly: journals written by either path interchange (same keys,
 same values), a resumed fit re-executes zero completed items whichever
 path wrote the journal, and a failing *batch* decomposes to per-feature
-execution instead of taking its members down with it.
+execution instead of taking its members down with it. The per-feature
+side runs under the ``per_feature_path`` fixture.
 """
 
 import numpy as np
@@ -32,9 +33,8 @@ def _policy(**overrides):
     return RetryPolicy(**defaults)
 
 
-def _fit(rep, *, rng=33, batched=True, fault_plan=None, checkpoint=None, policy=None):
+def _fit(rep, *, rng=33, fault_plan=None, checkpoint=None, policy=None):
     cfg = FRaCConfig.fast(
-        batched_training=batched,
         execution=ExecutionConfig(mode="serial", n_workers=1, retry=policy),
     )
     frac = FRaC(cfg, rng=rng)
@@ -43,31 +43,35 @@ def _fit(rep, *, rng=33, batched=True, fault_plan=None, checkpoint=None, policy=
 
 
 class TestJournalInterchange:
-    def test_batched_and_per_feature_journals_share_keys(self, rep, tmp_path):
+    def test_batched_and_per_feature_journals_share_keys(
+        self, rep, tmp_path, per_feature_path
+    ):
         """The batched path journals under per-feature keys: both paths
         produce the identical key set for the identical run."""
         with CheckpointJournal(tmp_path / "batched.journal") as journal:
-            _fit(rep, batched=True, checkpoint=journal)
+            _fit(rep, checkpoint=journal)
             batched_keys = set(journal.entries())
             assert journal.appended == len(batched_keys) > 0
-        with CheckpointJournal(tmp_path / "scalar.journal") as journal:
-            _fit(rep, batched=False, checkpoint=journal)
+        with CheckpointJournal(tmp_path / "scalar.journal") as journal, per_feature_path():
+            _fit(rep, checkpoint=journal)
             scalar_keys = set(journal.entries())
         assert batched_keys == scalar_keys
         # Per-feature granularity, not batch granularity: every key is one
         # (feature_id, slot, seed) triple.
         assert all(len(k) == 3 for k in batched_keys)
 
-    def test_per_feature_journal_resumed_by_batched_run(self, rep, tmp_path):
+    def test_per_feature_journal_resumed_by_batched_run(
+        self, rep, tmp_path, per_feature_path
+    ):
         """A journal written by the per-feature path fully satisfies a
         batched resume: zero items re-execute."""
         path = tmp_path / "fit.journal"
-        with CheckpointJournal(path) as journal:
-            first = _fit(rep, batched=False, checkpoint=journal)
+        with CheckpointJournal(path) as journal, per_feature_path():
+            first = _fit(rep, checkpoint=journal)
             n_items = journal.appended
             assert n_items > 0
         with CheckpointJournal(path) as journal:
-            resumed = _fit(rep, batched=True, checkpoint=journal)
+            resumed = _fit(rep, checkpoint=journal)
             assert journal.preloaded == n_items and journal.appended == 0
         np.testing.assert_array_equal(
             first.score(rep.x_test), resumed.score(rep.x_test)
@@ -75,24 +79,25 @@ class TestJournalInterchange:
 
 
 class TestBatchedResume:
-    def test_batched_journal_resumes_with_zero_reexecution(self, rep, tmp_path):
+    def test_batched_journal_resumes_with_zero_reexecution(
+        self, rep, tmp_path, per_feature_path
+    ):
         """Poison-plan proof: resume a batched-written journal under a plan
         that fails every item on every attempt. A fault plan routes the
         resume down the per-feature path, so identical scores prove both
         zero re-executions *and* cross-path journal compatibility."""
         path = tmp_path / "fit.journal"
         with CheckpointJournal(path) as journal:
-            first = _fit(rep, batched=True, checkpoint=journal)
+            first = _fit(rep, checkpoint=journal)
             n_items = journal.appended
             assert n_items > 0
 
         poison = FaultPlan(
             {(i, k): "raise" for i in range(n_items) for k in range(3)}
         )
-        with CheckpointJournal(path) as journal:
+        with CheckpointJournal(path) as journal, per_feature_path():
             resumed = _fit(
                 rep,
-                batched=False,
                 policy=_policy(on_exhaustion="raise"),
                 checkpoint=journal,
                 fault_plan=poison,
@@ -107,7 +112,7 @@ class TestBatchedResume:
         and executes only the missing features on the batched path."""
         path = tmp_path / "fit.journal"
         with CheckpointJournal(path) as journal:
-            _fit(rep, batched=True, checkpoint=journal)
+            _fit(rep, checkpoint=journal)
             full = journal.appended
         # Drop the last half of the journal: rewrite only a prefix.
         with CheckpointJournal(path) as journal:
@@ -118,10 +123,10 @@ class TestBatchedResume:
             for key, value in keep:
                 journal.append(key, value)
         with CheckpointJournal(path) as journal:
-            resumed = _fit(rep, batched=True, checkpoint=journal)
+            resumed = _fit(rep, checkpoint=journal)
             assert journal.preloaded == len(keep)
             assert journal.appended == full - len(keep)
-        clean = _fit(rep, batched=True)
+        clean = _fit(rep)
         np.testing.assert_array_equal(
             clean.score(rep.x_test), resumed.score(rep.x_test)
         )
@@ -129,9 +134,6 @@ class TestBatchedResume:
 
 class _ExplodingBatchedRidge:
     """A batched learner whose shared solvers always fail."""
-
-    def solver(self, x, *, check=True):
-        raise RuntimeError("injected batch failure")
 
     def masked_solver(self, x, *, check=True):
         raise RuntimeError("injected batch failure")
@@ -141,12 +143,12 @@ class TestBatchFailureDecomposition:
     def test_failing_batch_decomposes_to_per_feature(self, rep, monkeypatch):
         """When every batch fails, members fall back to per-feature
         execution and the fit still matches a clean run bit for bit."""
-        clean = _fit(rep, batched=True)
+        clean = _fit(rep)
         monkeypatch.setattr(
             "repro.core.engine.make_batched_learner",
             lambda name, **kwargs: _ExplodingBatchedRidge(),
         )
-        decomposed = _fit(rep, batched=True, policy=_policy(max_retries=1))
+        decomposed = _fit(rep, policy=_policy(max_retries=1))
         assert decomposed.failure_report_ is not None
         assert not decomposed.failure_report_  # no feature was lost
         assert decomposed.n_failed_ == 0
@@ -165,10 +167,10 @@ class TestBatchFailureDecomposition:
         )
         path = tmp_path / "fit.journal"
         with CheckpointJournal(path) as journal:
-            _fit(rep, batched=True, checkpoint=journal, policy=_policy(max_retries=1))
+            _fit(rep, checkpoint=journal, policy=_policy(max_retries=1))
             n_items = journal.appended
             assert n_items > 0
         monkeypatch.undo()
         with CheckpointJournal(path) as journal:
-            _fit(rep, batched=True, checkpoint=journal)
+            _fit(rep, checkpoint=journal)
             assert journal.preloaded == n_items and journal.appended == 0

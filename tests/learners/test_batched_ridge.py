@@ -1,8 +1,10 @@
 """BatchedRidge vs RidgeRegressor: columnwise bitwise equivalence.
 
-The batched solver shares one centering + Gram + Cholesky per design
-matrix; the contract (see :mod:`repro.learners.batched`) is that every
-``fit_column(y)`` reproduces ``RidgeRegressor(alpha).fit(x, y)``
+The batched solver shares the row gather, means, and centering of a
+full-width design and factors one Gram per member; the contract (see
+:mod:`repro.learners.batched`) is that every
+``masked_solver(x).member(ids).fit_column(y)`` reproduces
+``RidgeRegressor(alpha).fit(x[:, ids], y)``
 *bitwise* — ``np.array_equal`` on ``coef_``, ``==`` on ``intercept_`` —
 across shapes, regimes (primal d<=n and dual d>n), alphas, and the edge
 cases the engine can feed it (d==0, constant targets, near-singular
@@ -17,9 +19,14 @@ from repro.learners.registry import make_batched_learner, supports_batching
 from repro.learners.ridge import RidgeRegressor
 
 
+def column_solver(x, alpha, *, check=True):
+    """The member solver over every column of ``x``, as the engine builds it."""
+    return BatchedRidge(alpha).masked_solver(x, check=check).member(np.arange(x.shape[1]))
+
+
 def assert_column_equivalent(x, y, alpha):
     scalar = RidgeRegressor(alpha=alpha).fit(x, y)
-    batched = BatchedRidge(alpha=alpha).solver(x).fit_column(y)
+    batched = column_solver(x, alpha).fit_column(y)
     np.testing.assert_array_equal(batched.coef_, scalar.coef_)
     assert batched.intercept_ == scalar.intercept_
     if x.shape[1]:
@@ -38,7 +45,7 @@ class TestBitwiseProperty:
             k = int(rng.integers(1, 6))
             alpha = float(10.0 ** rng.uniform(-3, 3))
             x = rng.normal(size=(n, d))
-            solver = BatchedRidge(alpha=alpha).solver(x)
+            solver = column_solver(x, alpha)
             for _ in range(k):
                 y = rng.normal(size=n)
                 scalar = RidgeRegressor(alpha=alpha).fit(x, y)
@@ -57,7 +64,7 @@ class TestBitwiseProperty:
         x = np.empty((10, 0))
         y = rng.normal(size=10)
         assert_column_equivalent(x, y, 1.0)
-        col = BatchedRidge(1.0).solver(x).fit_column(y)
+        col = column_solver(x, 1.0).fit_column(y)
         assert col.coef_.shape == (0,)
         assert col.intercept_ == y.mean()
 
@@ -78,11 +85,26 @@ class TestBitwiseProperty:
         rng = np.random.default_rng(5)
         assert_column_equivalent(rng.normal(size=(6, 40)), rng.normal(size=6), 2.0)
 
-    def test_fit_columns_convenience(self):
+    def test_member_subsets_of_one_shared_design(self):
+        """Members of one masked solver, each on its own column subset,
+        match a per-feature fit on that subset's np.ix_-style gather."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(18, 7))
+        shared = BatchedRidge(0.7).masked_solver(x)
+        for ids in ([0, 3, 4], [1], [], [2, 5, 6, 0], list(range(7))):
+            ids = np.asarray(ids, dtype=np.intp)
+            y = rng.normal(size=18)
+            model = shared.member(ids).fit_column(y)
+            scalar = RidgeRegressor(alpha=0.7).fit(x[:, ids].copy(order="C"), y)
+            np.testing.assert_array_equal(model.coef_, scalar.coef_)
+            assert model.intercept_ == scalar.intercept_
+
+    def test_one_member_solver_many_columns(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(18, 5))
         ys = [rng.normal(size=18) for _ in range(4)]
-        models = BatchedRidge(0.7).fit_columns(x, ys)
+        solver = column_solver(x, 0.7)
+        models = [solver.fit_column(y) for y in ys]
         for y, model in zip(ys, models):
             scalar = RidgeRegressor(alpha=0.7).fit(x, y)
             np.testing.assert_array_equal(model.coef_, scalar.coef_)
@@ -100,11 +122,11 @@ class TestValidation:
         x = np.ones((5, 2))
         x[0, 0] = np.nan
         with pytest.raises(Exception):
-            BatchedRidge(1.0).solver(x)
+            column_solver(x, 1.0)
 
     def test_nonfinite_target_rejected(self):
         rng = np.random.default_rng(7)
-        solver = BatchedRidge(1.0).solver(rng.normal(size=(8, 2)))
+        solver = column_solver(rng.normal(size=(8, 2)), 1.0)
         y = rng.normal(size=8)
         y[3] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
@@ -112,10 +134,10 @@ class TestValidation:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            BatchedRidge(1.0).solver(np.empty((0, 3)))
+            column_solver(np.empty((0, 3)), 1.0)
 
     def test_length_mismatch_rejected(self):
-        solver = BatchedRidge(1.0).solver(np.ones((6, 2)))
+        solver = column_solver(np.ones((6, 2)), 1.0)
         with pytest.raises(Exception):
             solver.fit_column(np.ones(5))
 
@@ -126,8 +148,8 @@ class TestValidation:
         x = rng.normal(size=(20, 4))
         y = rng.normal(size=20)
         sub = x[2:15]
-        checked = BatchedRidge(1.0).solver(sub, check=True).fit_column(y[2:15])
-        unchecked = BatchedRidge(1.0).solver(sub, check=False).fit_column(y[2:15])
+        checked = column_solver(sub, 1.0, check=True).fit_column(y[2:15])
+        unchecked = column_solver(sub, 1.0, check=False).fit_column(y[2:15])
         np.testing.assert_array_equal(checked.coef_, unchecked.coef_)
         assert checked.intercept_ == unchecked.intercept_
 

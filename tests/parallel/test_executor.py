@@ -31,8 +31,10 @@ class TestExecutionConfig:
             ExecutionConfig(mode="thread", n_workers=0)
 
     def test_bad_chunk(self):
-        with pytest.raises(ReproError):
-            ExecutionConfig(chunk_size=0)
+        """Chunk size is computed from the item and worker counts, never
+        configured: the option does not exist."""
+        with pytest.raises(TypeError):
+            ExecutionConfig(chunk_size=3)
 
     def test_effective_workers_pool(self):
         cfg = ExecutionConfig(mode="thread", n_workers=3)
@@ -54,7 +56,7 @@ class TestRunTasks:
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_shared_state_visible(self, mode):
-        cfg = ExecutionConfig(mode=mode, n_workers=2, chunk_size=3)
+        cfg = ExecutionConfig(mode=mode, n_workers=2)
         shared = {"data": np.arange(10) * 10}
         out = run_tasks(_shared_lookup, list(range(10)), shared=shared, config=cfg)
         assert out == [i * 10 for i in range(10)]

@@ -407,3 +407,124 @@ class TestCrossModeDeterminism:
         values, skipped = runs["serial"]
         assert skipped == [9]
         assert values[9] is None and values[2] == 4 and values[7] == 49
+
+
+def _worker_of(x):
+    """Which worker ran the item: (process, thread)."""
+    import os
+    import threading
+
+    return os.getpid(), threading.get_ident()
+
+
+def _unpicklable_at_7(x):
+    return (lambda: x) if x == 7 else x * x
+
+
+class TestChunkedWave:
+    """Pooled waves submit ``ceil(n / (4 * workers))`` items per chunk; a
+    chunk reports each item's own outcome and duration."""
+
+    N_ITEMS = 40  # > 4 * 2 workers, so each chunk holds 5 items
+    CHUNK = 5
+
+    def _events(self, mode, fault_plan=None, policy=None, fn=_square):
+        from repro.telemetry import EventBus, MemorySink
+        from repro.telemetry import runtime as telemetry_runtime
+
+        sink = MemorySink()
+        report = FailureReport()
+        previous = telemetry_runtime.set_bus(EventBus([sink]))
+        try:
+            out = run_tasks(
+                fn,
+                list(range(self.N_ITEMS)),
+                config=ExecutionConfig(mode=mode, n_workers=2, retry=policy),
+                fault_plan=fault_plan,
+                failures=report if policy is not None else None,
+            )
+        finally:
+            telemetry_runtime.set_bus(previous)
+        return out, report, [r.event for r in sink.records]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_every_finished_item_carries_a_float_duration(self, mode):
+        out, _, events = self._events(mode)
+        assert out == [x * x for x in range(self.N_ITEMS)]
+        finished = [e for e in events if e.name == "FeatureTaskFinished"]
+        assert len(finished) == self.N_ITEMS
+        assert all(isinstance(e.duration_s, float) for e in finished)
+
+    def _chunks(self, values):
+        return [values[lo : lo + self.CHUNK] for lo in range(0, self.N_ITEMS, self.CHUNK)]
+
+    @pytest.mark.parametrize("mode", POOLED_MODES)
+    def test_chunks_run_their_items_in_one_worker(self, mode):
+        out, _, _ = self._events(mode, fn=_worker_of)
+        assert all(len(set(workers)) == 1 for workers in self._chunks(out))
+
+    @pytest.mark.parametrize("mode", POOLED_MODES)
+    def test_raising_item_is_charged_alone(self, mode):
+        bad = 7  # mid-chunk: chunk [5, 10) also holds four clean items
+        out, report, events = self._events(
+            mode,
+            fault_plan=FaultPlan.failing(bad, attempts=[0], kind="raise"),
+            policy=_fast_policy(),
+            fn=_worker_of,
+        )
+        assert not report
+        # The clean items of every chunk, the bad item's chunk-mates
+        # included, completed together in one worker on the first wave.
+        for chunk in self._chunks(list(range(self.N_ITEMS))):
+            assert len({out[i] for i in chunk if i != bad}) == 1
+        attempts = {
+            e.index: e.attempts for e in events if e.name == "FeatureTaskFinished"
+        }
+        assert attempts == {i: (2 if i == bad else 1) for i in range(self.N_ITEMS)}
+        retries = [e for e in events if e.name == "RetryScheduled"]
+        assert [(e.index, e.kind) for e in retries] == [(bad, "exception")]
+        second_wave = [
+            e.index for e in events if e.name == "FeatureTaskStarted" and e.attempt == 1
+        ]
+        assert second_wave == [bad]
+
+    def test_crash_in_multi_item_chunk_is_attributed_by_the_probe(self):
+        bad = 12
+        out, report, events = self._events(
+            "process",
+            fault_plan=FaultPlan.failing(bad, attempts=[0], kind="crash"),
+            policy=_fast_policy(),
+        )
+        assert out == [x * x for x in range(self.N_ITEMS)]
+        assert not report
+        crashes = [e for e in events if e.name == "WorkerCrashDetected"]
+        assert [e.phase for e in crashes] == ["wave", "probe"]
+        assert crashes[1].index == bad
+        retries = [e for e in events if e.name == "RetryScheduled"]
+        assert [(e.index, e.kind) for e in retries] == [(bad, "crash")]
+
+    def test_timed_out_multi_item_chunk_is_attributed_by_the_probe(self):
+        bad = 12
+        out, report, events = self._events(
+            "process",
+            fault_plan=FaultPlan.failing(bad, attempts=[0], kind="hang", hang_seconds=3.0),
+            policy=_fast_policy(task_timeout=0.3),
+        )
+        assert out == [x * x for x in range(self.N_ITEMS)]
+        assert not report
+        timed_out = [e.index for e in events if e.name == "TaskTimedOut"]
+        assert timed_out == [bad]
+        retries = [e for e in events if e.name == "RetryScheduled"]
+        assert [(e.index, e.kind) for e in retries] == [(bad, "timeout")]
+
+    def test_chunk_level_failure_is_attributed_by_the_probe(self):
+        """A result that cannot travel back fails its whole chunk, not one
+        item; the probe pins it on the item that produced it."""
+        out, report, events = self._events(
+            "process", policy=_fast_policy(max_retries=1), fn=_unpicklable_at_7
+        )
+        assert out == [None if x == 7 else x * x for x in range(self.N_ITEMS)]
+        assert report.indices() == [7]
+        assert report.failures[0].kind == "exception"
+        retries = [e for e in events if e.name == "RetryScheduled"]
+        assert [(e.index, e.kind) for e in retries] == [(7, "exception")]

@@ -16,6 +16,11 @@ BATCHED_TRACE = ROOT / "benchmarks" / "results" / "BENCH_table2_trace.jsonl"
 PER_FEATURE_TRACE = (
     ROOT / "benchmarks" / "results" / "BENCH_table2_trace_per_feature.jsonl"
 )
+# Recorded with the retired exact-key training batches and per-model
+# ``score.gather`` loop. That engine is gone from the tree; the committed
+# trace stays as a fixture, and git history can regenerate it (the
+# ``benchmarks/make_singleton_trace.py`` script of the commit that
+# recorded it).
 SINGLETON_TRACE = (
     ROOT / "benchmarks" / "results" / "BENCH_table2_trace_batched_ridge.jsonl"
 )
