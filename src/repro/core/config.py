@@ -27,7 +27,9 @@ class FRaCConfig:
         with a batched counterpart
         (:data:`repro.learners.registry.BATCHED_REGRESSORS`) trains its
         real-valued targets in groups, byte-identical to per-feature
-        training (:func:`repro.core.engine.run_feature_batch`).
+        training (:func:`repro.core.engine.run_feature_batch`); a
+        classifier in :data:`repro.learners.registry.BATCHED_CLASSIFIERS`
+        does the same for integer-coded categorical targets.
     regressor_params / classifier_params:
         Extra constructor arguments for the learners.
     n_predictors:

@@ -3,6 +3,7 @@
 from repro.errormodels.base import ErrorModel
 from repro.errormodels.confusion import ConfusionErrorModel
 from repro.errormodels.entropy import (
+    batch_discrete_entropy,
     dataset_entropies,
     differential_entropy,
     discrete_entropy,
@@ -28,6 +29,7 @@ __all__ = [
     "GaussianKDE",
     "silverman_bandwidth",
     "discrete_entropy",
+    "batch_discrete_entropy",
     "differential_entropy",
     "feature_entropy",
     "dataset_entropies",

@@ -68,6 +68,83 @@ class ConfusionErrorModel(ErrorModel):
         return -self.log_prob_[pred, true]
 
     @classmethod
+    def batch_fit(
+        cls,
+        predictions: np.ndarray,
+        truths: np.ndarray,
+        arities: "list[int]",
+        *,
+        smoothing: float = 1.0,
+    ) -> "list[ConfusionErrorModel]":
+        """Fit one model per row of stacked ``(k, n)`` holdout pairs.
+
+        Bitwise equal to ``ConfusionErrorModel(arities[j], smoothing).fit``
+        on row ``j``: one ``bincount`` counts every member's (prediction,
+        truth) pairs (exact small integers), the smoothing and the row
+        normalization are elementwise and length-``arity`` row sums, and
+        ``np.log`` runs per member on the ``(arity, arity)`` table the
+        scalar fit logs, so no SIMD lane layout can move a bit.
+        """
+        models = [cls(arity, smoothing=smoothing) for arity in arities]
+        predictions = np.asarray(predictions, dtype=np.float64)
+        truths = np.asarray(truths, dtype=np.float64)
+        if predictions.shape != truths.shape or predictions.shape[:1] != (len(models),):
+            raise FitError(
+                f"batch_fit needs matching ({len(models)}, n) stacks; got "
+                f"{predictions.shape} vs {truths.shape}"
+            )
+        if predictions.shape[1] == 0:
+            raise FitError("cannot fit a confusion error model on zero holdout pairs")
+        arity = np.array([model.arity for model in models])
+        width = int(arity.max())
+        codes = []
+        for name, values in (("predictions", predictions), ("truths", truths)):
+            rounded = np.rint(values).astype(np.intp)
+            if (rounded < 0).any() or (rounded >= arity[:, None]).any():
+                raise DataError(f"{name} contains codes outside [0, arity)")
+            codes.append(rounded)
+        pred, true = codes
+        cells = (np.arange(len(models))[:, None] * width + pred) * width + true
+        counts = np.bincount(cells.ravel(), minlength=len(models) * width * width)
+        counts = counts.reshape(len(models), width, width).astype(np.float64)
+        for a in np.unique(arity):
+            members = np.flatnonzero(arity == a)
+            block = np.ascontiguousarray(counts[members, :a, :a])  # fraclint: disable=FRL016 -- one gather per distinct arity, not per member
+            smoothed = block + smoothing
+            ratio = smoothed / smoothed.sum(axis=2, keepdims=True)
+            for j, table, probs in zip(members, block, ratio):  # fraclint: disable=FRL015 -- per-member np.log replay; the counting above is batched
+                models[j].counts_ = table
+                # Positive by construction: smoothing > 0 in every cell.
+                models[j].log_prob_ = np.log(probs)  # fraclint: disable=FRL003
+        return models
+
+    @classmethod
+    def batch_mean_surprisal(
+        cls, models: "list[ConfusionErrorModel]", predictions: np.ndarray, truths: np.ndarray
+    ) -> np.ndarray:
+        """Row-wise mean surprisal of stacked ``(k, n)`` pairs.
+
+        Bitwise equal to ``models[j].surprisal(p_row, t_row).mean()``: the
+        surprisal is a table gather (tables of smaller arity are zero
+        padded; valid codes never read the padding), and the mean of a
+        contiguous row runs the 1-D pairwise kernel.
+        """
+        for model in models:
+            check_fitted(model, "log_prob_")
+        width = max(model.arity for model in models)
+        tables = np.zeros((len(models), width, width))
+        for j, model in enumerate(models):
+            tables[j, : model.arity, : model.arity] = model.log_prob_
+        pred = np.rint(np.asarray(predictions, dtype=np.float64)).astype(np.intp)
+        true = np.rint(np.asarray(truths, dtype=np.float64)).astype(np.intp)
+        arity = np.array([model.arity for model in models])[:, None]
+        for name, codes in (("predictions", pred), ("truths", true)):
+            if (codes < 0).any() or (codes >= arity).any():
+                raise DataError(f"{name} contains codes outside [0, arity)")
+        surprisal = -tables[np.arange(len(models))[:, None], pred, true]
+        return surprisal.mean(axis=1)
+
+    @classmethod
     def batch_surprisal(
         cls, models: "list[ConfusionErrorModel]", predictions: np.ndarray, truths: np.ndarray
     ) -> np.ndarray:

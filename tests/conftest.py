@@ -44,15 +44,17 @@ def _session_trace():
 def per_feature_path(monkeypatch):
     """Context manager that forces the per-feature reference path.
 
-    Inside the block ``"ridge"`` has no batched counterpart, so the engine
-    trains every feature through ``run_feature_task`` — the reference side
-    of the byte-equivalence suites. Outside it the batched path runs.
+    Inside the block neither ``"ridge"`` nor ``"tree"`` has a batched
+    counterpart, so the engine trains every feature through
+    ``run_feature_task`` — the reference side of the byte-equivalence
+    suites. Outside it the batched path runs.
     """
 
     @contextlib.contextmanager
     def force():
         with monkeypatch.context() as patch:
             patch.delitem(registry.BATCHED_REGRESSORS, "ridge")
+            patch.delitem(registry.BATCHED_CLASSIFIERS, "tree")
             yield
 
     return force

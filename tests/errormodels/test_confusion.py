@@ -85,3 +85,37 @@ class TestSurprisal:
         max_surprisal = np.log((n + arity * smoothing) / smoothing)
         assert (s >= 0).all() or (s >= -1e-12).all()
         assert (s <= max_surprisal + 1e-9).all()
+
+
+class TestBatchFit:
+    """``batch_fit`` / ``batch_mean_surprisal`` are bitwise the per-row
+    ``fit`` / ``surprisal(...).mean()``, mixed arities included."""
+
+    def _stack(self, seed, k=7, n=40):
+        gen = np.random.default_rng(seed)
+        arities = [int(a) for a in gen.integers(2, 6, size=k)]
+        pred = np.stack([gen.integers(0, a, n) for a in arities]).astype(float)
+        true = np.stack([gen.integers(0, a, n) for a in arities]).astype(float)
+        return pred, true, arities
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("smoothing", [0.5, 1.0, 3.0])
+    def test_matches_scalar_fits(self, seed, smoothing):
+        pred, true, arities = self._stack(seed)
+        models = ConfusionErrorModel.batch_fit(pred, true, arities, smoothing=smoothing)
+        means = ConfusionErrorModel.batch_mean_surprisal(models, pred, true)
+        for j, (model, arity) in enumerate(zip(models, arities)):
+            ref = ConfusionErrorModel(arity, smoothing=smoothing).fit(pred[j], true[j])
+            assert np.array_equal(model.counts_, ref.counts_)
+            assert np.array_equal(model.log_prob_, ref.log_prob_)
+            assert means[j] == ref.surprisal(pred[j], true[j]).mean()
+
+    def test_rejects_out_of_range_codes(self):
+        pred, true, arities = self._stack(0, k=2)
+        pred[1, 0] = arities[1]
+        with pytest.raises(DataError, match="predictions"):
+            ConfusionErrorModel.batch_fit(pred, true, arities)
+
+    def test_rejects_empty_holdout(self):
+        with pytest.raises(FitError, match="zero holdout"):
+            ConfusionErrorModel.batch_fit(np.zeros((2, 0)), np.zeros((2, 0)), [3, 3])

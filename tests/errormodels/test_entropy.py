@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.schema import FeatureKind, FeatureSchema, FeatureSpec
 from repro.errormodels.entropy import (
+    batch_discrete_entropy,
     dataset_entropies,
     differential_entropy,
     discrete_entropy,
@@ -90,3 +91,21 @@ class TestFeatureEntropy:
     def test_width_mismatch(self):
         with pytest.raises(DataError):
             dataset_entropies(np.zeros((3, 2)), FeatureSchema.all_real(3))
+
+
+class TestBatchDiscreteEntropy:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_rows(self, seed):
+        gen = np.random.default_rng(seed)
+        arities = [int(a) for a in gen.integers(2, 17, size=9)]
+        values = np.stack([gen.integers(0, a, 35) for a in arities]).astype(float)
+        values[0] = 1.0  # a single observed code: entropy 0
+        got = batch_discrete_entropy(values, arities)
+        for j, arity in enumerate(arities):
+            assert got[j] == discrete_entropy(values[j], arity=arity)
+
+    def test_rejects_out_of_range_and_missing(self):
+        with pytest.raises(DataError, match="outside"):
+            batch_discrete_entropy(np.array([[0.0, 3.0]]), [3])
+        with pytest.raises(DataError, match="complete"):
+            batch_discrete_entropy(np.array([[0.0, np.nan]]), [3])

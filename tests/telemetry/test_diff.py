@@ -20,7 +20,10 @@ PER_FEATURE_TRACE = (
 # ``score.gather`` loop. That engine is gone from the tree; the committed
 # trace stays as a fixture, and git history can regenerate it (the
 # ``benchmarks/make_singleton_trace.py`` script of the commit that
-# recorded it).
+# recorded it). It is condensed to what a diff reads: the header and
+# every ``SpanFinished`` record with its span, depth, wall, CPU and RSS,
+# so every population, count, wall and the speedup diff exactly as from
+# the full recording.
 SINGLETON_TRACE = (
     ROOT / "benchmarks" / "results" / "BENCH_table2_trace_batched_ridge.jsonl"
 )
