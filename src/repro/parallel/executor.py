@@ -51,7 +51,7 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import multiprocessing as mp
 
@@ -145,6 +145,7 @@ def run_tasks(
     fault_plan: "FaultPlan | None" = None,
     failures: "FailureReport | None" = None,
     quiet: bool = False,
+    indices: "Sequence[int] | None" = None,
 ) -> list[R]:
     """Apply ``fn`` to every item, in order, under the configured mode.
 
@@ -175,29 +176,38 @@ def run_tasks(
         quiet and re-emits the lifecycle at per-feature granularity
         itself, keeping event streams replay-identical with the
         per-feature path regardless of how features were grouped.
+    indices:
+        The items' positions in a larger task list they were drawn from
+        (default ``0 .. n-1``). Events, failure records and fault-plan
+        lookups name each item by its position, so a caller running a
+        subset of its tasks keeps reporting them under their own indices.
     """
     config = config or ExecutionConfig()
     items = list(items)
-    if not items:
+    positions = list(range(len(items))) if indices is None else [int(i) for i in indices]
+    if len(positions) != len(items) or len(set(positions)) != len(positions):
+        raise ReproError("indices must name each item once")
+    by_index = dict(zip(positions, items))
+    if not by_index:
         return []
     # With no explicit policy: no retries, and the first error raises,
     # while checkpoints are still honoured.
     policy = config.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
 
-    keys: "list[Any] | None" = None
+    keys: "dict[int, Any] | None" = None
     if task_key is not None:
-        keys = [task_key(item) for item in items]
-        if len(set(keys)) != len(keys):
+        keys = {i: task_key(item) for i, item in by_index.items()}
+        if len(set(keys.values())) != len(keys):
             raise ReproError("task_key produced duplicate keys within one batch")
     if checkpoint is not None and keys is None:
         raise ReproError("checkpointing requires a task_key")
 
-    sched = _Scheduler(len(items), policy, keys, checkpoint, failures, quiet)
+    sched = _Scheduler(positions, policy, keys, checkpoint, failures, quiet)
 
     pending: list[tuple[int, int]] = []  # (item index, attempts so far)
     if checkpoint is not None:
         completed = checkpoint.entries()
-        for i, key in enumerate(keys):
+        for i, key in keys.items():
             if key in completed:
                 sched.record_cached(i, completed[key])
             else:
@@ -213,18 +223,18 @@ def run_tasks(
                 len(pending),
             )
     else:
-        pending = [(i, 0) for i in range(len(items))]
+        pending = [(i, 0) for i in positions]
 
     if pending:
         if config.mode == "serial":
-            _run_serial(fn, items, shared, fault_plan, sched, pending)
+            _run_serial(fn, by_index, shared, fault_plan, sched, pending)
         else:
-            _run_pool(fn, items, shared, config, fault_plan, sched, pending)
+            _run_pool(fn, by_index, shared, config, fault_plan, sched, pending)
 
-    missing = [i for i, outcome in enumerate(sched.outcomes) if outcome is None]
+    missing = [i for i, outcome in sched.outcomes.items() if outcome is None]
     if missing:  # pragma: no cover - scheduler invariant
         raise ReproError(f"scheduler lost track of items {missing}")
-    return [outcome.value for outcome in sched.outcomes]
+    return [sched.outcomes[i].value for i in positions]
 
 
 def _init_worker(shared: Any) -> None:
@@ -282,9 +292,9 @@ class _Scheduler:
 
     def __init__(
         self,
-        n: int,
+        positions: "list[int]",
         policy: RetryPolicy,
-        keys: "list[Any] | None",
+        keys: "dict[int, Any] | None",
         checkpoint: Any,
         failures: "FailureReport | None",
         quiet: bool = False,
@@ -293,7 +303,7 @@ class _Scheduler:
         self.keys = keys
         self.checkpoint = checkpoint
         self.failures = failures if failures is not None else FailureReport()
-        self.outcomes: "list[TaskOutcome | None]" = [None] * n
+        self.outcomes: "dict[int, TaskOutcome | None]" = dict.fromkeys(positions)
         self.bus = None if quiet else get_bus()
 
     def key_for(self, index: int) -> Any:
@@ -374,7 +384,7 @@ class _Scheduler:
 
 def _run_serial(
     fn: Callable[[T], R],
-    items: list[T],
+    items: "Mapping[int, T]",
     shared: Any,
     fault_plan: "FaultPlan | None",
     sched: _Scheduler,
@@ -486,7 +496,7 @@ def _charge(
 
 def _run_pool(
     fn: Callable[[T], R],
-    items: list[T],
+    items: "Mapping[int, T]",
     shared: Any,
     config: ExecutionConfig,
     fault_plan: "FaultPlan | None",
@@ -560,7 +570,7 @@ def _chunk_failed(
 
 def _wide_wave(
     fn: Callable[[T], R],
-    items: list[T],
+    items: "Mapping[int, T]",
     shared: Any,
     config: ExecutionConfig,
     fault_plan: "FaultPlan | None",
@@ -663,7 +673,7 @@ def _wide_wave(
 
 def _isolation_probe(
     fn: Callable[[T], R],
-    items: list[T],
+    items: "Mapping[int, T]",
     shared: Any,
     config: ExecutionConfig,
     fault_plan: "FaultPlan | None",

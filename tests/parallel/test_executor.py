@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.parallel.executor import ExecutionConfig, get_shared, run_tasks
+from repro.parallel.faults import FailureReport, FaultPlan, RetryPolicy
+from repro.telemetry import EventBus, MemorySink
+from repro.telemetry import runtime as telemetry_runtime
 from repro.utils.exceptions import ReproError
 
 
@@ -71,6 +74,43 @@ class TestRunTasks:
         reference = run_tasks(_square, list(range(12)), config=ExecutionConfig())
         cfg = ExecutionConfig(mode=mode, n_workers=2)
         assert run_tasks(_square, list(range(12)), config=cfg) == reference
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_indices_name_items_in_reports(self, mode):
+        """A subset of a larger task list keeps its own indices in events,
+        failure records and fault-plan lookups."""
+        cfg = ExecutionConfig(
+            mode=mode, n_workers=2, retry=RetryPolicy(max_retries=0, on_exhaustion="skip")
+        )
+        indices = [2, 5, 9, 11]
+        report = FailureReport()
+        sink = MemorySink()
+        previous = telemetry_runtime.set_bus(EventBus([sink]))
+        try:
+            out = run_tasks(
+                _square,
+                [1, 2, 3, 4],
+                config=cfg,
+                fault_plan=FaultPlan.failing(9),
+                failures=report,
+                indices=indices,
+            )
+        finally:
+            telemetry_runtime.set_bus(previous)
+        assert out == [1, 4, None, 16]
+        assert report.indices() == [9]
+        finished = {
+            r.event.index: r.event.status
+            for r in sink.records
+            if r.event.name == "FeatureTaskFinished"
+        }
+        assert finished == {2: "ok", 5: "ok", 9: "skipped", 11: "ok"}
+
+    def test_indices_must_name_each_item_once(self):
+        with pytest.raises(ReproError, match="indices"):
+            run_tasks(_square, [1, 2], indices=[3, 3])
+        with pytest.raises(ReproError, match="indices"):
+            run_tasks(_square, [1, 2], indices=[3])
 
     def test_exception_propagates_serial(self):
         def boom(i):
