@@ -382,6 +382,90 @@ class _GroupClasses:
     values: np.ndarray  # class values, member after member, ascending
 
 
+#: Rows below this bound keep the group build's float32 count products
+#: exact: every count is an integer no larger than the row count, and
+#: float32 holds every integer up to 2**24, whatever the BLAS summation
+#: order. Larger designs grow per feature (see ``BatchedTreeClassifier.accepts``).
+_FLOAT32_EXACT_ROWS = 1 << 24
+
+#: numpy's float64 ``sum`` adds a row shorter than this left to right;
+#: longer rows go through eight interleaved partial sums.
+_SEQUENTIAL_SUM = 8
+
+
+class _TermTable:
+    """Per-class impurity terms, looked up instead of recomputed.
+
+    ``term[t, c]`` is ``p * log2(p)`` (entropy) or ``p * p`` (gini) with
+    ``p = c / t``, for every side size ``t <= n`` and count ``c <= t``,
+    computed by the elementwise ops of
+    :meth:`_ClassifierBuilder._impurity_from_counts_positive`. Sides come
+    class-major: ``index[i, q] = t_q * stride + c_iq`` for side ``q`` of
+    size ``t_q`` and class counts ``c_iq``, and its impurity sums its
+    terms as that method's last-axis sum does.
+
+    Absent classes have term ``+0.0``, so a member with fewer classes than
+    the group's widest pads its counts with zeros. numpy sums a row
+    shorter than :data:`_SEQUENTIAL_SUM` left to right, where trailing
+    zeros change nothing; below that width the terms are added class by
+    class, the same adds in the same order. Wider groups sum contiguous
+    rows with numpy, one sum width at a time when the padding would cross
+    that length: the first ``_SEQUENTIAL_SUM - 1`` columns, or the
+    member's own class count.
+
+    Above :attr:`MAX_ENTRIES` table entries the terms are computed from
+    the index on the fly instead, to the same floats.
+    """
+
+    #: Largest table, in float64 entries.
+    MAX_ENTRIES = 1 << 22
+
+    def __init__(self, criterion: str, n: int, n_classes: np.ndarray) -> None:
+        self.criterion = criterion
+        self.stride = n + 1
+        self.table: "np.ndarray | None" = None
+        if self.stride * self.stride <= self.MAX_ENTRIES:
+            p = np.arange(self.stride) / np.arange(1, self.stride, dtype=np.float64)[:, None]
+            self.table = np.concatenate([np.zeros((1, self.stride)), self._term(p)]).ravel()
+        self.columns = int(n_classes.max())
+        width = np.where(
+            n_classes < _SEQUENTIAL_SUM, min(self.columns, _SEQUENTIAL_SUM - 1), n_classes
+        )
+        #: Per-member sum width, or None when every member sums all columns.
+        self.width: "np.ndarray | None" = None if (width == self.columns).all() else width
+
+    def _term(self, p: np.ndarray) -> np.ndarray:
+        if self.criterion == "gini":
+            return p * p
+        return p * np.log2(p, out=np.zeros_like(p), where=p > 0)  # fraclint: disable=FRL003 -- where=p>0 masks the log and the out= zeros fill the guarded lanes, as in _impurity_from_counts_positive
+
+    def impurity(self, index: np.ndarray, owner: "np.ndarray | None" = None) -> np.ndarray:
+        """Impurities of the sides at the class-major ``(C, q)`` ``index``;
+        ``owner`` gives each side's member, read only when sum widths differ."""
+        if self.table is not None:
+            terms = self.table.take(index)
+        else:
+            sizes, counts = np.divmod(index, self.stride)
+            terms = self._term(counts / sizes.astype(np.float64))
+        if self.columns < _SEQUENTIAL_SUM:
+            sums = terms[0].copy()
+            for column in terms[1:]:  # fraclint: disable=FRL015 -- one vectorized add per class (fewer than _SEQUENTIAL_SUM), numpy's left-to-right order
+                sums += column
+        else:
+            rows = np.ascontiguousarray(terms.T)
+            if self.width is None:
+                sums = rows.sum(axis=-1)
+            else:
+                width = self.width[owner]
+                sums = np.empty(rows.shape[0])
+                for w in np.unique(width):  # fraclint: disable=FRL015 -- one pass per sum width: one below _SEQUENTIAL_SUM plus each class count above it
+                    at = np.flatnonzero(width == w)
+                    sums[at] = np.ascontiguousarray(rows[at, :w]).sum(axis=-1)  # fraclint: disable=FRL016 -- one gather per sum width, not per side
+        if self.criterion == "gini":
+            return 1.0 - sums
+        return -sums
+
+
 class _GroupClassifierBuilder(_ClassifierBuilder):
     """Grows the categorical trees of many targets together, level by level.
 
@@ -389,25 +473,25 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
     on the member's own design (``np.array_equal`` on all five arrays):
 
     - one matrix product per level gives every active node of every
-      member its left-side count table: ``M @ L``, with ``M`` the one-hot
-      of (node, class) per (row, member) plus a node-size row, and ``L``
-      the indicator ``x[:, w] <= v`` of every (input, boundary). The
-      counts are small integers in float64, so the product is exact
-      whatever the BLAS blocking;
-    - impurities go through :meth:`_impurity_from_counts_positive` on
-      C-contiguous ``(q, k)`` blocks of one class count ``k`` at a time,
-      the shape ``_grow_categorical`` evaluates, so each float is the same;
+      member its left-side count table: ``L.T @ M.T``, with ``M`` the
+      one-hot of (node, class) per (row, member) plus a node-size row, and
+      ``L`` the indicator ``x[:, w] <= v`` of every (input, boundary). The
+      counts are integers below :data:`_FLOAT32_EXACT_ROWS` in float32,
+      so the product is exact whatever the BLAS blocking;
+    - impurities sum :class:`_TermTable` lookups, the floats
+      ``_grow_categorical`` computes;
     - the valid-boundary mask, the per-node minimum, the gain floor and
       the ``(pos, col)`` tie-break replay ``_grow_categorical``, with
       ``col`` the position in the member's ``ids``, not the global column;
     - :meth:`assemble` renumbers the level-order nodes into the DFS
       pre-order ``_Tree`` stores.
 
-    Rows outside the training rows are routed alongside, through the
-    ``code <= threshold`` test ``_Tree.predict`` applies, so every
-    member's prediction at every row falls out of the build.
-    ``max_features`` trees draw their candidates from an RNG in DFS order
-    and stay on the per-feature builder.
+    The (member, row) pairs still in play live in flat lists that shrink
+    as rows reach leaves; rows outside the training rows are routed
+    alongside, through the ``code <= threshold`` test ``_Tree.predict``
+    applies, so every member's prediction at every row falls out of the
+    build. ``max_features`` trees draw their candidates from an RNG in DFS
+    order and stay on the per-feature builder.
     """
 
     #: Count-table elements per matrix product; larger levels go in chunks
@@ -416,21 +500,6 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
 
     def __init__(self, criterion: str, **kw) -> None:
         super().__init__(criterion, np.empty(0, dtype=np.intp), **kw)
-
-    def _impurity_by_k(
-        self, counts: np.ndarray, totals: np.ndarray, ks: np.ndarray
-    ) -> np.ndarray:
-        """Row impurities of ``counts[:, :k]``, ``k`` the row's class count."""
-        if len(ks) and ks.min() == ks.max():
-            k = int(ks[0])
-            return self._impurity_from_counts_positive(
-                np.ascontiguousarray(counts[:, :k]), totals[:, None].astype(np.float64)
-            )
-        out = np.empty(len(ks))
-        for k in np.flatnonzero(np.bincount(ks)):
-            rows = np.flatnonzero(ks == k)
-            out[rows] = self._impurity_by_k(counts[rows], totals[rows], ks[rows])  # fraclint: disable=FRL016 -- one pass per distinct class count (a handful), not per row
-        return out
 
     def grow(
         self, xi: np.ndarray, ys: np.ndarray, pos: np.ndarray, train: np.ndarray
@@ -460,46 +529,70 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
                 np.float64
             ),
         )
+        terms = _TermTable(self.criterion, len(train), n_classes)
         # Boundaries sit after codes 0 .. max-1: after the largest code no
         # row is left on the right.
         bounds = int(xi.max()) if xi.size else 0
         below = (xi[train][:, :, None] <= np.arange(bounds)).reshape(len(train), -1)
-        below = below.astype(np.float64)
+        below = below.astype(np.float32)
 
-        node = np.repeat(np.arange(n_members)[:, None], xi.shape[0], axis=1)
+        # The (member, row) pairs in play: every training pair, with its
+        # class and training position, ahead of the other rows' pairs. A
+        # pair's node is its index in the current level.
         member = np.arange(n_members)
+        rest = np.ones(xi.shape[0], dtype=bool)
+        rest[train] = False
+        others = np.flatnonzero(rest)
+        n_tr = n_members * len(train)
+        node = np.concatenate([np.repeat(member, len(train)), np.repeat(member, len(others))])
+        row = np.concatenate([np.tile(train, n_members), np.tile(others, n_members)])
+        code = classes.codes.ravel()
+        tpos = np.tile(np.arange(len(train)), n_members)
+
         preds = np.empty((n_members, xi.shape[0]))
         levels: list[_Level] = []
         while len(member):
             level, column = self._split_level(
-                len(levels), member, node[:, train], classes, below, pos
+                len(levels), member, node[:n_tr], code, tpos, classes, terms, below, pos
             )
             levels.append(level)
-            member = self._route(level, column, node, preds, xi)
+            # Rows at a leaf take its value and leave the lists; rows at a
+            # split go to the left or right child by code <= threshold.
+            child = level.child[node]
+            leaf = child < 0
+            preds[level.member[node[leaf]], row[leaf]] = level.value[node[leaf]]
+            keep = ~leaf
+            code, tpos = code[keep[:n_tr]], tpos[keep[:n_tr]]
+            n_tr = len(code)
+            at, row = node[keep], row[keep]
+            node = child[keep] + (xi[row, column[at]] > level.threshold[at])
+            member = np.repeat(level.member[level.child >= 0], 2)
         return preds, levels
 
     def _split_level(
         self,
         depth: int,
         member: np.ndarray,
-        node_train: np.ndarray,
+        node: np.ndarray,
+        code: np.ndarray,
+        tpos: np.ndarray,
         classes: "_GroupClasses",
+        terms: _TermTable,
         below: np.ndarray,
         pos: np.ndarray,
     ) -> "tuple[_Level, np.ndarray]":
         """Decide every node of one level: its split or its leaf value.
 
-        Returns the level and, per node, the split's column in ``xi``.
+        ``node``, ``code`` and ``tpos`` list the level's training pairs:
+        their node, class and training position. Returns the level and,
+        per node, the split's column in ``xi``.
         """
         g = len(member)
         c = int(classes.counts.max())
-        tj, tr = np.nonzero(node_train >= 0)
-        tg = node_train[tj, tr]
-        tc = classes.codes[tj, tr]
-        counts = np.bincount(tg * c + tc, minlength=g * c).reshape(g, c)
-        m = counts.sum(axis=1)
-        ks = classes.counts[member]
-        parent_imp = self._impurity_by_k(counts, m, ks)
+        counts = np.bincount(code * g + node, minlength=c * g).reshape(c, g)
+        m = counts.sum(axis=0)
+        whole = counts + m * terms.stride  # each node's own term index, class-major
+        parent_imp = terms.impurity(whole, member)
         cand = np.flatnonzero(
             (depth < self.max_depth)
             & (m >= self.min_samples_split)
@@ -510,107 +603,101 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
         column = np.zeros(g, dtype=np.intp)
         threshold = np.zeros(g)
         rank = np.full(g, -1, dtype=np.intp)
-        bounds = below.shape[1] // max(1, pos.shape[1])
-        chunk = max(1, self._MAX_TABLE // max(1, below.shape[1] * (c + 1)))
+        n_train, width = below.shape
+        chunk = max(1, self._MAX_TABLE // max(1, width * (c + 1)))
         for start in range(0, len(cand), chunk):  # fraclint: disable=FRL015 -- chunks of nodes bound the count table's memory; one chunk on SNP-sized groups
             sel = cand[start : start + chunk]
             rank[sel] = np.arange(len(sel))
-            inside = rank[tg] >= 0  # fraclint: disable=FRL016 -- one gather per chunk of nodes, not per node
-            rows = rank[tg[inside]] * (c + 1)  # fraclint: disable=FRL016 -- one gather per chunk of nodes, not per node
-            onehot = np.zeros((len(sel) * (c + 1), below.shape[0]))
-            onehot[rows + tc[inside], tr[inside]] = 1.0  # fraclint: disable=FRL016 -- one scatter per chunk of nodes, not per node
-            onehot[rows + c, tr[inside]] = 1.0  # fraclint: disable=FRL016 -- one scatter per chunk of nodes, not per node
-            table = (onehot @ below).reshape(len(sel), c + 1, pos.shape[1], bounds)
-            s, w, th = self._best_splits(table, counts[sel], m[sel], ks[sel], parent_imp[sel], pos[member[sel]])  # fraclint: disable=FRL016 -- per-chunk slices of the level's node arrays
+            at = rank[node]
+            inside = np.flatnonzero(at >= 0)
+            rows = at[inside] * (c + 1)  # fraclint: disable=FRL016 -- one gather per chunk of nodes, not per node
+            onehot = np.zeros((len(sel) * (c + 1), n_train), dtype=np.float32)
+            onehot[rows + code[inside], tpos[inside]] = 1.0
+            onehot[rows + c, tpos[inside]] = 1.0
+            # (width, node, class) layout: a candidate's counts are one row.
+            table = below.T @ onehot.T
+            s, w, th = self._best_splits(table, m[sel], whole[:, sel], parent_imp[sel], pos[member[sel]], member[sel], terms)  # fraclint: disable=FRL016 -- per-chunk slices of the level's node arrays
             feature[sel[s]] = pos[member[sel[s]], w]  # fraclint: disable=FRL016 -- per-chunk scatter of the chosen splits
             column[sel[s]], threshold[sel[s]] = w, th  # fraclint: disable=FRL016 -- per-chunk scatter of the chosen splits
             rank[sel] = -1
         split = feature != _NO_FEATURE
         value = np.zeros(g)
         leaves = np.flatnonzero(~split)
-        best = np.argmax(counts[leaves], axis=1)
+        best = np.argmax(counts[:, leaves], axis=0)
         value[leaves] = classes.values[classes.first[member[leaves]] + best]
         child = np.full(g, -1, dtype=np.intp)
         child[split] = 2 * np.arange(int(split.sum()))
         return _Level(member, feature, threshold, value, child), column
 
-    @staticmethod
-    def _route(
-        level: _Level, column: np.ndarray, node: np.ndarray, preds: np.ndarray, xi: np.ndarray
-    ) -> np.ndarray:
-        """Move every (member, row) still in play past ``level``; return the
-        next level's node members.
-
-        Rows at a leaf take its value and retire (``node`` -1); rows at a
-        split go to the left or right child by ``code <= threshold``.
-        """
-        aj, ar = np.nonzero(node >= 0)
-        ag = node[aj, ar]
-        at_leaf = level.child[ag] < 0
-        preds[aj[at_leaf], ar[at_leaf]] = level.value[ag[at_leaf]]
-        node[aj[at_leaf], ar[at_leaf]] = -1
-        aj, ar, ag = aj[~at_leaf], ar[~at_leaf], ag[~at_leaf]
-        node[aj, ar] = level.child[ag] + (xi[ar, column[ag]] > level.threshold[ag])
-        return np.repeat(level.member[level.child >= 0], 2)
-
     def _best_splits(
         self,
         table: np.ndarray,
-        counts: np.ndarray,
         m: np.ndarray,
-        ks: np.ndarray,
+        whole: np.ndarray,
         parent_imp: np.ndarray,
         pos: np.ndarray,
+        member: np.ndarray,
+        terms: _TermTable,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """``_grow_categorical``'s split choice for every node of ``table``.
 
-        ``table[s, c, w, v]`` counts node ``s``'s training rows of class
-        ``c`` with code ``<= v`` in column ``w``; index ``c`` = the class
-        count holds the node's rows of any class. Returns ``(node,
-        column, threshold)`` for the nodes that split; the rest are leaves.
+        ``table[w * b + v, s * (C + 1) + c]`` counts node ``s``'s training
+        rows of class ``c`` with code ``<= v`` in column ``w``, for ``b``
+        boundaries per column; class ``C`` counts the node's rows of any
+        class. ``whole`` is each node's own class-major term index.
+        Returns ``(node, column, threshold)`` for the nodes that split; the
+        rest are leaves.
         """
-        c = table.shape[1] - 1
-        cum_n = table[:, c]  # left-side sizes
+        n_nodes, c1 = whole.shape[1], whole.shape[0] + 1
+        width = table.shape[0]
+        d = pos.shape[1]
+        b = width // d if d else 0
+        rows = table.reshape(width * n_nodes, c1)
+        # cum_n[s, w, v]: node s's rows with code <= v in column w.
+        cum_n = rows[:, -1].reshape(d, b, n_nodes).transpose(2, 0, 1).astype(np.intp, order="C")
         # A boundary after v exists where code v is present and rows remain
-        # on the right; the leaf-size floors are those of the dense search.
-        present = np.empty(cum_n.shape, dtype=bool)
-        present[:, :, :1] = cum_n[:, :, :1] > 0
-        present[:, :, 1:] = cum_n[:, :, 1:] > cum_n[:, :, :-1]
-        ms = m[:, None, None]
+        # on the right, with the dense search's leaf-size floors; as
+        # min_samples_leaf >= 1, the floors imply the rest but presence
+        # above the lowest code.
         msl = self.min_samples_leaf
-        valid = present & (cum_n < ms) & (cum_n >= msl) & ((ms - cum_n) >= msl)
-        valid &= (pos >= 0)[:, :, None]
-        s_c, w_c, v_c = np.nonzero(valid)
-        if not len(s_c):
-            return s_c, w_c, np.zeros(0)
-        lc = table[s_c, :c, w_c, v_c]
-        sz = cum_n[s_c, w_c, v_c]
-        mq = m[s_c]
-        left = self._impurity_by_k(lc, sz, ks[s_c])
-        right = self._impurity_by_k(counts[s_c] - lc, mq - sz, ks[s_c])
+        upper = np.where(pos >= 0, (m - msl)[:, None], -1)
+        valid = (cum_n >= msl) & (cum_n <= upper[:, :, None])
+        valid[:, :, 1:] &= cum_n[:, :, 1:] > cum_n[:, :, :-1]
+        per_node = np.count_nonzero(valid.reshape(n_nodes, -1), axis=1)
+        flat = np.flatnonzero(valid)  # node-major: candidates grouped by node
+        if not len(flat):
+            return flat, flat, np.zeros(0)
+        s_c = np.repeat(np.arange(n_nodes), per_node)
+        wv = flat - s_c * width
+        left_at = rows[wv * n_nodes + s_c].T.astype(np.intp, order="C")  # (C + 1, q)
+        sz = left_at[-1]
+        left_at = left_at[:-1]
+        left_at += sz * terms.stride
+        owner = None if terms.width is None else member[s_c]
+        left = terms.impurity(left_at, owner)
+        right = terms.impurity(np.repeat(whole, per_node, axis=1) - left_at, owner)
+        mq = np.repeat(m, per_node)
         # Positive by construction: a node holds >= 1 training row.
         weighted = (sz * left + (mq - sz) * right) / mq  # fraclint: disable=FRL018
 
-        # Candidates come grouped by node (np.nonzero is row-major).
-        nodes = np.flatnonzero(np.bincount(s_c, minlength=len(m)))
-        starts = np.searchsorted(s_c, nodes)
-        best = np.full(len(m), np.inf)
-        best[nodes] = np.minimum.reduceat(weighted, starts)
+        nodes = np.flatnonzero(per_node)
+        starts = np.cumsum(per_node)[nodes] - per_node[nodes]
+        best = np.minimum.reduceat(weighted, starts)
         # Ties break to the smallest (pos, col) of the dense search; inside
-        # one node (size, position in ids) orders the same way.
-        never = np.iinfo(np.intp).max
-        key = sz.astype(np.intp) * (int(pos.max()) + 1) + pos[s_c, w_c]
-        key = np.where(weighted == best[s_c], key, never)
-        first_key = np.full(len(m), never)
-        first_key[nodes] = np.minimum.reduceat(key, starts)
-        pick = np.flatnonzero(key == first_key[s_c])
-        s_p, w_p, v_p = s_c[pick], w_c[pick], v_c[pick]
-        keep = np.isfinite(best[s_p]) & ~(parent_imp[s_p] - best[s_p] <= 1e-12)
-        s_p, w_p, v_p = s_p[keep], w_p[keep], v_p[keep]
+        # one node (size, position in ids) orders the same way, and no two
+        # candidates of a node share both.
+        tie = np.flatnonzero(weighted == np.repeat(best, per_node[nodes]))
+        s_t, (w_t, _) = s_c[tie], np.unravel_index(wv[tie], (d, b))
+        key = sz[tie] * (int(pos.max()) + 1) + pos[s_t, w_t]
+        order = np.lexsort((key, s_t))
+        pick = tie[order[np.flatnonzero(np.diff(s_t[order], prepend=-1))]]
+        keep = np.isfinite(best) & ~(parent_imp[nodes] - best <= 1e-12)
+        pick = pick[keep]
+        s_p, (w_p, v_p) = s_c[pick], np.unravel_index(wv[pick], (d, b))
         # The threshold's upper code is the next one present in the node.
         sizes = np.concatenate([cum_n[s_p, w_p], m[s_p, None]], axis=1)
         later = np.arange(sizes.shape[1]) > v_p[:, None]
-        v_hi = np.argmax(later & (sizes > sz[pick][keep][:, None]), axis=1)
+        v_hi = np.argmax(later & (sizes > sz[pick][:, None]), axis=1)
         return s_p, w_p, 0.5 * (v_p.astype(np.float64) + v_hi.astype(np.float64))
 
     @staticmethod
@@ -774,10 +861,12 @@ class BatchedTreeClassifier:
     trees of many targets that share their rows at once (see
     :class:`_GroupClassifierBuilder`); each is ``np.array_equal`` to what
     ``DecisionTreeClassifier(**params).fit`` grows on the member's own
-    design. Two cases stay per feature, and :meth:`accepts` says which:
+    design. Three cases stay per feature, and :meth:`accepts` says which:
     ``max_features`` trees, whose candidate draws follow the per-tree RNG
-    in DFS order, and designs that are not small non-negative integer
-    codes, which take the dense sorted search.
+    in DFS order, designs that are not small non-negative integer codes,
+    which take the dense sorted search, and designs of
+    :data:`_FLOAT32_EXACT_ROWS` rows or more, whose float32 count
+    products could round.
     """
 
     def __init__(self, criterion: str = "entropy", **kw) -> None:
@@ -799,6 +888,7 @@ class BatchedTreeClassifier:
         """Whether trees with constructor ``params`` grow in groups on design ``x``."""
         return (
             params.get("max_features") is None
+            and len(x) < _FLOAT32_EXACT_ROWS
             and _small_integer_codes(np.asarray(x, dtype=np.float64)) is not None
         )
 
@@ -829,6 +919,8 @@ class BatchedTreeClassifier:
             raise ValueError(f"ys must be ({len(ids_list)}, {x.shape[0]}); got {ys.shape}")
         if not len(train):
             raise ValueError("cannot fit on an empty training set")
+        if len(train) >= _FLOAT32_EXACT_ROWS:
+            raise ValueError(f"fit_group takes fewer than {_FLOAT32_EXACT_ROWS} training rows")
         if not np.isfinite(ys).all():
             raise ValueError("target y contains non-finite values")
         cols = np.flatnonzero(np.bincount(np.concatenate(ids_list), minlength=x.shape[1]))

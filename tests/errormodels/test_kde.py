@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from repro.errormodels.kde import BANDWIDTH_FLOOR, GaussianKDE, silverman_bandwidth
+from repro.errormodels.kde import (
+    BANDWIDTH_FLOOR,
+    GaussianKDE,
+    batch_entropy,
+    batch_silverman_bandwidth,
+    silverman_bandwidth,
+)
 from repro.utils.exceptions import FitError, NotFittedError
 
 
@@ -85,3 +91,56 @@ class TestKDE:
         h_scale = GaussianKDE().fit(base * scale).entropy()
         assert abs(h_shift - h0) < 1e-9
         np.testing.assert_allclose(h_scale, h0 + np.log(scale), atol=1e-9)
+
+
+def assert_rows_match(samples, **kw):
+    """The batched KDE of every row is bitwise the scalar KDE of that row."""
+    want_h = np.array([silverman_bandwidth(row) for row in samples])
+    want_entropy = np.array([GaussianKDE().fit(row).entropy() for row in samples])
+    assert np.array_equal(batch_silverman_bandwidth(samples), want_h)
+    assert np.array_equal(batch_entropy(samples, **kw), want_entropy)
+
+
+class TestBatchedKDE:
+    """``batch_entropy`` / ``batch_silverman_bandwidth`` against the scalar
+    estimators, bit for bit (``np.array_equal``)."""
+
+    def test_ties(self):
+        gen = np.random.default_rng(5)
+        assert_rows_match(gen.integers(0, 3, size=(6, 40)).astype(np.float64))
+
+    def test_rows_at_the_bandwidth_floor(self):
+        gen = np.random.default_rng(6)
+        rows = np.stack(
+            [
+                np.full(30, 2.5),  # constant
+                7.0 + gen.normal(size=30) * 1e-13,  # spread below the floor
+                np.r_[np.zeros(29), 1.0],  # zero IQR, positive sd
+            ]
+        )
+        assert batch_silverman_bandwidth(rows)[0] == BANDWIDTH_FLOOR
+        assert batch_silverman_bandwidth(rows)[1] == BANDWIDTH_FLOOR
+        assert_rows_match(rows)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_rows(self, n):
+        gen = np.random.default_rng(n)
+        assert_rows_match(gen.normal(size=(4, n)))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-5, 1.0, 1e5, 1e150])
+    def test_extreme_scales(self, scale):
+        gen = np.random.default_rng(7)
+        assert_rows_match(gen.normal(size=(5, 50)) * scale)
+
+    def test_rows_split_across_chunks(self):
+        # Two rows' kernel tensors per chunk, so seven rows take four chunks.
+        gen = np.random.default_rng(8)
+        samples = gen.normal(size=(7, 25))
+        assert_rows_match(samples, chunk_bytes=2 * 25 * 25 * 8)
+        assert np.array_equal(
+            batch_entropy(samples, chunk_bytes=1), batch_entropy(samples)
+        )
+
+    def test_empty_rows_raise(self):
+        with pytest.raises(FitError):
+            batch_entropy(np.zeros((3, 0)))

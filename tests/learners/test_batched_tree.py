@@ -14,7 +14,13 @@ import pytest
 
 from repro import FRaC, FRaCConfig
 from repro.core.engine import FeatureTask, SharedTrainState, plan_feature_batches
-from repro.learners.decision_tree import BatchedTreeClassifier, DecisionTreeClassifier
+from repro.learners import decision_tree
+from repro.learners.decision_tree import (
+    BatchedTreeClassifier,
+    DecisionTreeClassifier,
+    _ClassifierBuilder,
+    _TermTable,
+)
 from repro.learners.registry import BATCHED_CLASSIFIERS
 
 FIELDS = ("feature", "threshold", "left", "right", "value")
@@ -198,6 +204,94 @@ class TestTreeForTree:
             assert_group_matches(x, ys, ids, params)
 
 
+def per_side_impurities(criterion, counts, n_classes):
+    """``_impurity_from_counts_positive`` on each side's own classes."""
+    builder = _ClassifierBuilder(
+        criterion,
+        np.empty(0),
+        max_depth=1,
+        min_samples_leaf=1,
+        min_samples_split=2,
+        max_features=None,
+        rng=None,
+    )
+    return np.array(
+        [
+            builder._impurity_from_counts_positive(
+                side[:k][None, :], np.array([[float(side.sum())]])
+            )[0]
+            for side, k in zip(counts, n_classes)
+        ]
+    )
+
+
+class TestTermTable:
+    """Table impurities against the per-feature oracle, bit for bit."""
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("max_entries", [_TermTable.MAX_ENTRIES, 0])
+    def test_every_two_class_side(self, criterion, max_entries, monkeypatch):
+        # Every (c, t) with t <= 64, as the two-class side (c, t - c); with
+        # max_entries 0 the terms are computed on the fly.
+        monkeypatch.setattr(_TermTable, "MAX_ENTRIES", max_entries)
+        n = 64
+        t, c = np.nonzero(np.tril(np.ones((n + 1, n + 1), dtype=bool)))
+        t, c = t[t > 0], c[t > 0]
+        counts = np.stack([c, t - c], axis=1)
+        table = _TermTable(criterion, n, np.array([2]))
+        assert (table.table is None) == (max_entries == 0)
+        got = table.impurity(counts.T + t * table.stride)
+        want = per_side_impurities(criterion, counts, np.full(len(t), 2))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("widest", [4, 7, 8, 9, 16])
+    def test_members_with_different_class_counts(self, criterion, widest):
+        """Zero-padded columns: sums below eight columns stay left to
+        right; wider groups sum each member's own width."""
+        rng = np.random.default_rng(widest)
+        n_classes = np.array([1, 2, 3, widest - 1, widest])
+        owner = rng.integers(0, len(n_classes), 400)
+        counts = np.zeros((400, widest), dtype=np.intp)
+        for i, k in enumerate(n_classes[owner]):
+            counts[i, :k] = rng.integers(0, 12, k)
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        sizes = counts.sum(axis=1)
+        table = _TermTable(criterion, int(sizes.max()), n_classes)
+        assert (table.width is None) == (widest < 8)
+        got = table.impurity(counts.T + sizes * table.stride, owner)
+        assert np.array_equal(got, per_side_impurities(criterion, counts, n_classes[owner]))
+
+
+class TestMixedClassCounts:
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_one_to_four_classes_in_one_level(self, criterion):
+        rng = np.random.default_rng(18)
+        x = rng.integers(0, 3, size=(80, 6)).astype(np.float64)
+        ys = np.stack([rng.integers(0, k, 80) for k in (1, 2, 3, 4)]).astype(np.float64)
+        ys[3, :4] = np.arange(4)  # every class present
+        assert_group_matches(x, ys, [np.arange(6)] * 4, dict(criterion=criterion, max_depth=5))
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_class_counts_across_the_sequential_sum_width(self, criterion):
+        # 2, 5, 9 and 12 classes: padded rows of 12 would change the sums
+        # of the 5-class member, so the level sums by width.
+        rng = np.random.default_rng(19)
+        x = rng.integers(0, 4, size=(150, 5)).astype(np.float64)
+        ys = np.stack([rng.integers(0, k, 150) for k in (2, 5, 9, 12)]).astype(np.float64)
+        ys[:, :12] = np.minimum(np.arange(12), [[1], [4], [8], [11]])
+        assert_group_matches(
+            x, ys, [np.arange(5)] * 4, dict(criterion=criterion, max_depth=6, min_samples_leaf=1)
+        )
+
+    def test_without_a_term_table(self, monkeypatch):
+        monkeypatch.setattr(_TermTable, "MAX_ENTRIES", 0)
+        rng = np.random.default_rng(20)
+        x, ys = snp_group(rng, 70, 6, 4, 3)
+        for criterion in ("gini", "entropy"):
+            assert_group_matches(x, ys, [np.arange(6)] * 4, dict(criterion=criterion, max_depth=6))
+
+
 class TestContract:
     def test_fold_builds_skip_tree_assembly(self):
         rng = np.random.default_rng(0)
@@ -233,6 +327,43 @@ class TestContract:
         assert not BatchedTreeClassifier.accepts({"max_features": "sqrt"}, codes)
         with pytest.raises(ValueError, match="max_features"):
             BatchedTreeClassifier(max_features="sqrt")
+
+
+class TestFloat32RowBound:
+    """Designs at the float32 exactness bound grow per feature."""
+
+    CONFIG = FRaCConfig(
+        regressor="ridge", classifier="tree", classifier_params={"max_depth": 4}, n_folds=3
+    )
+
+    def test_accepts_stops_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(decision_tree, "_FLOAT32_EXACT_ROWS", 10)
+        assert BatchedTreeClassifier.accepts({}, np.zeros((9, 2)))
+        assert not BatchedTreeClassifier.accepts({}, np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="fewer than 10"):
+            BatchedTreeClassifier().fit_group(np.zeros((10, 2)), np.zeros((1, 10)), [np.arange(2)])
+
+    def test_groups_at_the_bound_go_per_feature(self, snp_replicate, per_feature_path, monkeypatch):
+        rep = snp_replicate
+        assert not np.isnan(rep.x_train).any()  # every group's design has all the rows
+        with per_feature_path():
+            reference = FRaC(self.CONFIG, rng=5).fit(rep.x_train, rep.schema)
+        monkeypatch.setattr(decision_tree, "_FLOAT32_EXACT_ROWS", len(rep.x_train))
+        x = rep.x_train
+        tasks = [
+            FeatureTask(feature_id=j, input_ids=np.delete(np.arange(x.shape[1]), j), seed=j)
+            for j in range(x.shape[1])
+        ]
+        shared = SharedTrainState(x_imputed=x, x_targets=x, schema=rep.schema, config=self.CONFIG)
+        batches, passthrough = plan_feature_batches(tasks, shared)
+        assert batches == [] and passthrough == list(range(len(tasks)))
+        bounded = FRaC(self.CONFIG, rng=5).fit(rep.x_train, rep.schema)
+        for a, b in zip(bounded.models_, reference.models_):
+            for field in FIELDS:
+                assert np.array_equal(
+                    getattr(a.predictor.tree_, field), getattr(b.predictor.tree_, field)
+                )
+        np.testing.assert_array_equal(bounded.score(rep.x_test), reference.score(rep.x_test))
 
 
 class TestMaxFeaturesStaysPerFeature:
