@@ -8,9 +8,11 @@ This bench is also the repo's perf-trajectory anchor: the run executes
 under a fracscope trace (``BENCH_table2_trace.jsonl``) and writes
 ``BENCH_table2.json`` — wall, CPU, peak RSS, and features/sec at the
 default scale — so successive PRs leave comparable numbers on disk. The
-optimization ledger (``docs/optimization-ledger.md``) is generated from
-this run's trace via ``python -m repro.analysis --profile``; see
-docs/performance.md.
+trace supplies the feature-task count and is then condensed to its run
+and span events; compare it with an earlier run through
+``python -m repro trace diff``. The frozen Table II traces that
+``tests/telemetry/test_diff.py`` pins live in ``tests/telemetry/fixtures/``,
+so re-running this bench never moves a test pin.
 """
 
 import numpy as np

@@ -86,9 +86,9 @@ def capture_trace(path: Path):
     Installs a private bus via ``set_bus`` save/restore — not
     ``configure(trace_path=...)``, which would close whatever bus the
     surrounding session owns — so the capture composes with any ambient
-    telemetry. The trace this writes is the measured half of the
-    optimization ledger: ``python -m repro.analysis --profile <path>``
-    (docs/performance.md).
+    telemetry. Read the trace with ``python -m repro trace <path>`` or
+    compare two with ``python -m repro trace diff A B``
+    (docs/observability.md).
     """
     from repro.telemetry import EventBus
     from repro.telemetry.runtime import get_bus, set_bus
@@ -143,10 +143,10 @@ def emit_json(
     return target
 
 
-#: Events kept when a captured trace is condensed for commit: runs and
-#: spans carry all the wall/CPU time the optimization ledger prices. The
-#: per-task / per-fold events are O(features) lines (megabytes at even
-#: bench scale); their counts are folded into BENCH_*.json first.
+#: Events kept when a captured trace is condensed: runs and spans carry
+#: all the wall/CPU time ``repro trace diff`` compares. The per-task /
+#: per-fold events are O(features) lines (megabytes at even bench
+#: scale); their counts are folded into BENCH_*.json first.
 CONDENSED_EVENTS = frozenset(
     {"RunStarted", "RunFinished", "SpanStarted", "SpanFinished"}
 )
@@ -156,9 +156,8 @@ def condense_trace(path: Path) -> None:
     """Rewrite a trace in place, keeping only :data:`CONDENSED_EVENTS`.
 
     The result is still a valid fracscope trace (header preserved), and
-    ``python -m repro.analysis --profile`` produces the identical ledger
-    ranking from it — span time is untouched, only per-task annotations
-    are gone.
+    ``python -m repro trace diff`` reads the same span populations from
+    it — span time is untouched, only per-task annotations are gone.
     """
     lines = path.read_text(encoding="utf-8").splitlines()
     kept = [lines[0]]

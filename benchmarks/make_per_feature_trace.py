@@ -4,17 +4,18 @@ One-shot companion to ``bench_table2_full_frac.py``: runs Table II with
 the paper's exact per-feature linear-SVR expression engine (the
 ``per-feature-linear-svr`` trajectory label in ``BENCH_table2.json``)
 under a fracscope trace, condenses it, and leaves
-``BENCH_table2_trace_per_feature.jsonl`` next to the batched reference
-trace. The two committed traces are the fixture pair behind::
+``BENCH_table2_trace_per_feature.jsonl`` in ``benchmarks/results/`` next
+to the batched trace. Diff the two to read the per-feature → batched
+improvement from trace data alone::
 
     python -m repro trace diff \
         benchmarks/results/BENCH_table2_trace_per_feature.jsonl \
         benchmarks/results/BENCH_table2_trace.jsonl
 
-which must reproduce the trajectory's >=10x wall-clock improvement from
-trace data alone (pinned by tests/telemetry/test_diff.py). Takes a few
-minutes at the default bench scale — the per-feature engine is the slow
-generation by design.
+The frozen copies in ``tests/telemetry/fixtures/`` hold the >=10x pin of
+``tests/telemetry/test_diff.py``; this script never writes them. Takes a
+few minutes at the default bench scale — the per-feature engine is the
+slow generation by design.
 """
 
 from __future__ import annotations

@@ -36,16 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=sorted(RENDERERS) + ["ledger"],
+        choices=sorted(RENDERERS),
         default="text",
-        help="report format (default: text; 'ledger' requires --profile)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="TRACE",
-        help="read a fracscope trace (JSONL) and emit the optimization "
-        "ledger: FRL015-FRL019 findings ranked by measured span time "
-        "(--format ledger|json|sarif; see docs/performance.md)",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--output",
@@ -80,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--baseline",
         metavar="FILE",
         help="enforce the suppression-debt budget recorded in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current suppression debt to FILE and exit",
     )
     parser.add_argument(
         "--update-baseline",
@@ -124,42 +112,6 @@ def _split_rules(spec: "str | None") -> "set[str]":
     if not spec:
         return set()
     return {rule.strip().upper() for rule in spec.split(",") if rule.strip()}
-
-
-def _run_profile(parser: argparse.ArgumentParser, args, paths: "list[Path]") -> int:
-    """The ``--profile`` path: scan, join with the trace, emit the ledger."""
-    from repro.analysis.ledger import (
-        build_ledger,
-        ledger_violation_rows,
-        render_ledger,
-        render_ledger_json,
-    )
-
-    trace_path = Path(args.profile)
-    if not trace_path.exists():
-        parser.error(f"no such trace: {trace_path}")
-
-    # Index only — the ledger prices findings itself, suppressed or not.
-    result = run_analysis(paths, checkers=[], jobs=args.jobs)
-    try:
-        ledger = build_ledger(result.project, trace_path)
-    except ReproError as exc:
-        parser.error(str(exc))
-
-    fmt = args.format if args.format != "text" else "ledger"
-    if fmt == "ledger":
-        report = render_ledger(ledger)
-    elif fmt == "json":
-        report = render_ledger_json(ledger)
-    else:
-        report = RENDERERS["sarif"](ledger_violation_rows(ledger), result.n_files)
-
-    if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-        print(f"fraclint: ledger written to {args.output}")
-    else:
-        print(report)
-    return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -208,12 +160,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if missing:
         parser.error(f"no such path(s): {', '.join(map(str, missing))}")
 
-    if args.format == "ledger" and not args.profile:
-        parser.error("--format ledger requires --profile TRACE")
-
-    if args.profile:
-        return _run_profile(parser, args, paths)
-
     if args.update_baseline:
         from repro.analysis.baseline import collect_suppressions, update_baseline
 
@@ -237,17 +183,6 @@ def main(argv: "list[str] | None" = None) -> int:
             baseline = load_baseline(args.baseline)
         except ReproError as exc:
             parser.error(str(exc))
-
-    if args.write_baseline:
-        from repro.analysis.baseline import collect_suppressions, write_baseline
-
-        records = collect_suppressions(paths)
-        payload = write_baseline(args.write_baseline, records)
-        print(
-            f"fraclint: baseline written to {args.write_baseline} "
-            f"({payload['total']} suppression(s) in {len(payload['counts'])} group(s))"
-        )
-        return 0
 
     result = run_analysis(
         paths, checkers=checkers, cache_path=args.cache, jobs=args.jobs

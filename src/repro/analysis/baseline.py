@@ -7,7 +7,7 @@ group's suppression count grows past the baseline and any suppression in
 that group lacks an audit note (the trailing ``-- why`` text, or the
 standalone comment lines directly above the directive — the FRL003
 positivity-proof convention). Paying debt down never fails; regenerate
-the baseline with ``python -m repro.analysis --write-baseline`` after an
+the baseline with ``python -m repro.analysis --update-baseline`` after an
 audit to ratchet the budget.
 """
 
@@ -23,7 +23,6 @@ from repro.utils.exceptions import ReproError
 __all__ = [
     "BASELINE_VERSION",
     "collect_suppressions",
-    "write_baseline",
     "update_baseline",
     "load_baseline",
     "check_budget",
@@ -60,26 +59,6 @@ def _group_counts(records: "list[dict]") -> "dict[str, int]":
     return counts
 
 
-def _dump_baseline(path: "Path | str", payload: dict) -> None:
-    target = Path(path)
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ReproError(f"cannot write baseline {target}: {exc}") from exc
-
-
-def write_baseline(path: "Path | str", records: "list[dict]") -> dict:
-    """Serialize the current debt to ``path``; returns the payload."""
-    payload = {
-        "version": BASELINE_VERSION,
-        "total": sum(len(r["rules"]) for r in records),
-        "counts": _group_counts(records),
-    }
-    _dump_baseline(path, payload)
-    return payload
-
-
 def _group_notes(records: "list[dict]") -> "dict[str, list[str]]":
     notes: dict[str, set] = {}
     for record in records:
@@ -93,11 +72,10 @@ def _group_notes(records: "list[dict]") -> "dict[str, list[str]]":
 def update_baseline(path: "Path | str", records: "list[dict]") -> dict:
     """Regenerate ``path`` mechanically, preserving recorded audit notes.
 
-    Counts are recomputed from the current tree (same ratchet semantics
-    as :func:`write_baseline`), and the payload additionally carries a
-    ``notes`` section: per group, the sorted audit notes currently in the
-    tree, merged with the notes the *previous* baseline recorded for
-    groups that still exist — so the justification written during an
+    Counts are recomputed from the current tree, and a missing ``path``
+    is written fresh. The payload also carries a ``notes`` section: per
+    group, the sorted audit notes currently in the tree, merged with the
+    notes the *previous* baseline recorded for groups that still exist — so the justification written during an
     audit survives even after the directive that carried it is paid down
     to a smaller count. The output is deterministic: updating twice with
     an unchanged tree produces byte-identical files (the round-trip the
@@ -118,7 +96,11 @@ def update_baseline(path: "Path | str", records: "list[dict]") -> dict:
         "counts": counts,
         "notes": notes,
     }
-    _dump_baseline(path, payload)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ReproError(f"cannot write baseline {target}: {exc}") from exc
     return payload
 
 
@@ -133,7 +115,7 @@ def load_baseline(path: "Path | str") -> dict:
     if payload.get("version") != BASELINE_VERSION:
         raise ReproError(
             f"baseline {target} has version {payload.get('version')!r}; "
-            f"expected {BASELINE_VERSION} — regenerate with --write-baseline"
+            f"expected {BASELINE_VERSION} — regenerate with --update-baseline"
         )
     return payload
 

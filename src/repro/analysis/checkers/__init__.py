@@ -20,29 +20,21 @@ FRL011    fork-safety              worker callables stay side-effect free (whole
 FRL012    registry-completeness    concrete learners/error models register by name
 FRL013    import-layering          the repro.* layer DAG is enforced
 FRL014    checkpoint-write-safety  append I/O goes through torn-tail-safe writers
-FRL015    python-hot-loop          per-iteration fit/numpy loops are batchable
-FRL016    hidden-copy              fancy indexing / concatenation in loops copies arrays
-FRL017    dtype-widening           no silent float32→float64, no per-element scalar math
-FRL018    numerical-safety         no log/exp/div on inferred-possibly-zero values
-FRL019    loop-invariant-alloc     allocations / Gram products hoistable out of loops
 FRL020    span-attribution         literal span() names must resolve in SPAN_QUALNAMES
 FRL021    shared-mutable-capture   workers must not touch unlocked shared mutable state
 FRL022    lock-discipline          guarded fields stay guarded; no blocking under a lock
-FRL023    async-safety             no blocking reachable from async; coroutines awaited
 FRL024    resource-lifecycle       close()-bearing objects closed on all paths
 FRL025    worker-global-write      no module-global mutation reachable from workers
 ========  =======================  =====================================================
 
-FRL010–FRL025 are :class:`~repro.analysis.framework.ProjectChecker` rules:
-they run on the whole-program index/call graph under
+FRL010–FRL014, FRL020–FRL022, FRL024 and FRL025 are
+:class:`~repro.analysis.framework.ProjectChecker` rules: they run on the
+whole-program index/call graph under
 :func:`~repro.analysis.framework.run_analysis` and are no-ops under the
-file-local :func:`~repro.analysis.framework.analyze_file`. FRL015–FRL019
-(fraclint v3) additionally share the interprocedural shape/dtype fixed
-point of :mod:`repro.analysis.shapes`; see docs/performance.md for the
-rules and the optimization-ledger workflow. FRL021–FRL025 (fraclint v4)
-share the happens-before model of :mod:`repro.analysis.concurrency`;
-see docs/concurrency.md for the executor's guarantees and the lock
-inventory.
+file-local :func:`~repro.analysis.framework.analyze_file`. FRL021,
+FRL022, FRL024 and FRL025 (fraclint v4) share the happens-before model
+of :mod:`repro.analysis.concurrency`; see docs/concurrency.md for the
+executor's guarantees and the lock inventory.
 
 See docs/invariants.md for rationale and suppression policy, and
 ``python -m repro.analysis --explain FRL0NN`` for per-rule cards.
@@ -55,7 +47,6 @@ from repro.analysis.checkers import (
     hygiene,
     numerics,
     observability,
-    perf,
     rng,
 )
 
@@ -65,7 +56,6 @@ __all__ = [
     "contracts",
     "hygiene",
     "flow",
-    "perf",
     "observability",
     "concurrency",
 ]

@@ -1,4 +1,4 @@
-"""Concurrency-soundness fraclint rules (FRL021–FRL025).
+"""Concurrency-soundness fraclint rules (FRL021, FRL022, FRL024, FRL025).
 
 These rules interpret the happens-before model built by
 :mod:`repro.analysis.concurrency` (see docs/concurrency.md): work
@@ -6,13 +6,11 @@ functions handed to ``run_tasks``/``submit`` run concurrently in thread
 mode and in copy-on-write children in process mode, so shared mutable
 state they touch must be lock-guarded (thread mode) and must not be
 relied on to propagate back (process mode). Lock-bearing classes must
-guard fields consistently, ``async def`` paths must never block the
-event loop, and ``close()``-bearing resources must be owned by exactly
-one releaser.
+guard fields consistently, and ``close()``-bearing resources must be
+owned by exactly one releaser.
 
 FRL021  shared-mutable-capture  workers must not touch unlocked shared state
 FRL022  lock-discipline         guarded fields stay guarded; no hold-and-block
-FRL023  async-safety            async paths never block; coroutines are awaited
 FRL024  resource-lifecycle      close()-bearing objects are closed exactly once
 FRL025  worker-global-write     workers never mutate module globals
 """
@@ -33,7 +31,6 @@ from repro.analysis.index import FunctionInfo, ModuleIndex
 __all__ = [
     "SharedMutableCaptureChecker",
     "LockDisciplineChecker",
-    "AsyncSafetyChecker",
     "ResourceLifecycleChecker",
     "WorkerGlobalWriteChecker",
 ]
@@ -348,204 +345,6 @@ class LockDisciplineChecker(ProjectChecker):
 
 
 # ---------------------------------------------------------------------------
-# FRL023 — async safety
-# ---------------------------------------------------------------------------
-
-
-@register
-class AsyncSafetyChecker(ProjectChecker):
-    """FRL023: async code never blocks the loop and always awaits coroutines.
-
-    Invariant:
-        No blocking operation — ``profiling.sleep_seconds``/
-        ``time.sleep``, file opens, ``subprocess``, ``run_tasks``, or a
-        synchronous LAPACK ``fit``/future ``result`` — may be
-        transitively reachable from an ``async def``: one blocked
-        coroutine stalls every other task on the event loop. A call
-        that returns a coroutine must be awaited (or scheduled); an
-        unawaited coroutine silently never runs. ``create_task``/
-        ``ensure_future`` results must be kept in a referenced handle —
-        the loop holds tasks weakly, so a fire-and-forget task can be
-        garbage-collected mid-flight and its exceptions are lost.
-
-    Example violation:
-        async def score(request):
-            profiling.sleep_seconds(0.1)   # blocks the whole event loop
-            validate(request)              # returns a coroutine ...
-            return evaluate(request)       # ... that was never awaited
-
-    Fix:
-        ``await asyncio.sleep(...)`` instead of sleeping synchronously;
-        push blocking work through ``loop.run_in_executor``/a worker
-        pool; ``await`` every coroutine; keep ``create_task`` handles in
-        a collection that is awaited or cancelled on shutdown.
-    """
-
-    rule = "FRL023"
-    name = "async-safety"
-    description = "no blocking calls reachable from async defs; coroutines awaited"
-
-    blocking_finals = frozenset({"sleep_seconds", "run_tasks"})
-    blocking_external = frozenset({"time.sleep", "open"})
-    blocking_prefixes = ("subprocess.",)
-    #: synchronous-by-convention methods flagged only when called
-    #: directly inside an ``async def`` (receivers are too dynamic to
-    #: trust transitively).
-    blocking_methods = frozenset({"fit", "result"})
-
-    def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        graph = project.graph
-        blocking: dict = {}
-        async_fns: list = []
-        for module, _local, info in _iter_library_functions(project):
-            if info.is_async:
-                async_fns.append((module, info))
-            reason = self._blocking_reason(graph, info)
-            if reason is not None and not info.is_async:
-                blocking[info.qualname] = reason
-        for module, info in async_fns:
-            yield from self._check_async_fn(graph, module, info, blocking)
-        yield from self._unawaited(project, graph)
-
-    def _blocking_reason(self, graph, info: FunctionInfo) -> "str | None":
-        if info.opens:
-            return f"opens a file handle (line {info.opens[0]['lineno']})"
-        for op, resolution in graph.site_resolutions.get(info.qualname, ()):
-            if f"{op['lineno']}:{op['col']}" in info.awaited:
-                continue
-            target = resolution.target
-            if target is None:
-                continue
-            if resolution.kind == "internal" and _final(target) in self.blocking_finals:
-                return f"calls {_final(target)}() (line {op['lineno']})"
-            if resolution.kind in ("external", "builtin") and (
-                target in self.blocking_external
-                or target.startswith(self.blocking_prefixes)
-            ):
-                return f"calls {target} (line {op['lineno']})"
-        return None
-
-    def _check_async_fn(self, graph, module: ModuleIndex, info: FunctionInfo,
-                        blocking: dict) -> Iterator[Violation]:
-        # Direct blocking calls (including conventionally-sync methods).
-        for op, resolution in graph.site_resolutions.get(info.qualname, ()):
-            if f"{op['lineno']}:{op['col']}" in info.awaited:
-                continue
-            desc = None
-            callee = op["callee"]
-            if callee.get("kind") == "method" and callee["attr"] in self.blocking_methods:
-                desc = f"synchronous .{callee['attr']}() on {callee.get('recv', '?')}"
-            target = resolution.target
-            if desc is None and target is not None:
-                if resolution.kind == "internal" and _final(target) in self.blocking_finals:
-                    desc = f"{_final(target)}()"
-                elif resolution.kind in ("external", "builtin") and (
-                    target in self.blocking_external
-                    or target.startswith(self.blocking_prefixes)
-                ):
-                    desc = f"{target}()"
-            if desc is not None:
-                yield Violation(
-                    path=module.path,
-                    line=op["lineno"],
-                    col=op["col"] + 1,
-                    rule=self.rule,
-                    message=(
-                        f"async {info.qualname} calls blocking {desc}; this "
-                        "stalls the event loop — await an async equivalent or "
-                        "offload via run_in_executor"
-                    ),
-                )
-        # Transitively reachable blocking functions, anchored at the
-        # first hop out of the async def.
-        parent: dict = {info.qualname: None}
-        queue = [info.qualname]
-        while queue:
-            current = queue.pop(0)
-            for callee in sorted(graph.edges.get(current, ())):
-                if callee not in parent:
-                    parent[callee] = current
-                    queue.append(callee)
-        flagged: set = set()
-        for target in sorted(blocking):
-            if target not in parent or target == info.qualname:
-                continue
-            hop = target
-            while parent[hop] != info.qualname:
-                hop = parent[hop]
-            anchor = None
-            for op, resolution in graph.site_resolutions.get(info.qualname, ()):
-                if resolution.kind == "internal" and resolution.target == hop:
-                    anchor = op
-                    break
-            if anchor is None or (anchor["lineno"], target) in flagged:
-                continue
-            flagged.add((anchor["lineno"], target))
-            yield Violation(
-                path=module.path,
-                line=anchor["lineno"],
-                col=anchor["col"] + 1,
-                rule=self.rule,
-                message=(
-                    f"async {info.qualname} transitively reaches blocking "
-                    f"{target} ({blocking[target]}) via {hop}; the event loop "
-                    "stalls for the full duration — offload to an executor"
-                ),
-            )
-
-    def _unawaited(self, project: ProjectContext, graph) -> Iterator[Violation]:
-        for module, _local, info in _iter_library_functions(project):
-            for op, resolution in graph.site_resolutions.get(info.qualname, ()):
-                key = f"{op['lineno']}:{op['col']}"
-                callee = op["callee"]
-                is_spawn = (
-                    callee.get("kind") == "method" and callee["attr"] == "create_task"
-                ) or (
-                    callee.get("kind") == "name"
-                    and _final(callee.get("v", "")) in ("create_task", "ensure_future")
-                )
-                if is_spawn:
-                    if not op["targets"] and not _call_id_referenced(info, op["id"]):
-                        yield Violation(
-                            path=module.path,
-                            line=op["lineno"],
-                            col=op["col"] + 1,
-                            rule=self.rule,
-                            message=(
-                                f"{info.qualname} fire-and-forgets "
-                                f"{callee.get('attr') or callee.get('v')}; the "
-                                "loop holds tasks weakly, so the task can be "
-                                "collected mid-flight — keep the handle"
-                            ),
-                        )
-                    continue
-                if resolution.kind != "internal" or resolution.target is None:
-                    continue
-                target_info = graph.node(resolution.target)
-                if (
-                    target_info is None
-                    or not target_info.is_async
-                    or target_info.is_generator
-                ):
-                    continue
-                if key in info.awaited or key in info.with_calls:
-                    continue
-                if op["targets"] or _call_id_referenced(info, op["id"]):
-                    continue
-                yield Violation(
-                    path=module.path,
-                    line=op["lineno"],
-                    col=op["col"] + 1,
-                    rule=self.rule,
-                    message=(
-                        f"{info.qualname} calls async {resolution.target} "
-                        "without awaiting it; the coroutine object is "
-                        "discarded and its body never runs"
-                    ),
-                )
-
-
-# ---------------------------------------------------------------------------
 # FRL024 — resource lifecycle
 # ---------------------------------------------------------------------------
 
@@ -556,7 +355,7 @@ class ResourceLifecycleChecker(ProjectChecker):
 
     Invariant:
         A locally-constructed object whose class defines ``close()``
-        (EventBus, trace/OpenMetrics sinks, executors, checkpoint
+        (EventBus, trace/progress sinks, executors, checkpoint
         journals, raw ``open`` handles) must be released on every path:
         managed by a ``with`` block, explicitly ``close``/``shutdown``/
         ``terminate``-d, or handed off (returned, stored on ``self``,

@@ -1,11 +1,11 @@
-"""Observability rule FRL020: span names must be priceable.
+"""Observability rule FRL020: span names must be attributable.
 
-The optimization ledger joins fracscope traces to fraclint's call graph
-through :data:`repro.telemetry.trace.SPAN_QUALNAMES` — a span name that
-is missing from the mapping produces trace rows the ledger silently
-cannot price, which is exactly the drift this rule arrests. It promotes
-the importability anti-drift test in ``tests/telemetry/test_trace.py``
-to a static whole-program check: every *literal* ``span()`` name in
+:data:`repro.telemetry.trace.SPAN_QUALNAMES` maps each span name to the
+function it measures; ``repro trace diff`` pairs spans renamed between
+two traces through it. A span name missing from the mapping is a phase
+no diff can follow across a rename, which is the drift this rule
+arrests. It promotes the importability anti-drift test in
+``tests/telemetry/test_trace.py`` to a static whole-program check: every *literal* ``span()`` name in
 library code must resolve (by its base name, ``[...]`` parameter suffix
 stripped) to a ``SPAN_QUALNAMES`` key. Dynamic names (a variable, an
 f-string with no literal base) are skipped — they are the job of the
@@ -76,10 +76,9 @@ class SpanAttributionChecker(ProjectChecker):
     Invariant:
         Every literal ``span()`` name in library code must resolve, by
         its base name (the ``[...]`` parameter suffix stripped), to a
-        key of ``repro.telemetry.trace.SPAN_QUALNAMES``: the ledger
-        prices static findings with measured span time through that
-        mapping, and an unmapped span is cost the profile-guided
-        workflow silently drops.
+        key of ``repro.telemetry.trace.SPAN_QUALNAMES``: that mapping
+        names the function each span measures, and ``repro trace diff``
+        follows a renamed phase across two traces only through it.
 
     Example violation:
         with span("fit.newphase"):
@@ -92,7 +91,7 @@ class SpanAttributionChecker(ProjectChecker):
         an already-mapped phase name. Purely local, never-priced phases
         are the rare exception — suppress with
         ``# fraclint: disable=FRL020`` and a note saying why the phase
-        must stay unpriced.
+        must stay unmapped.
     """
 
     rule = "FRL020"
@@ -126,7 +125,6 @@ class SpanAttributionChecker(ProjectChecker):
                     self.rule,
                     node,
                     f"span name {base!r} is not in SPAN_QUALNAMES "
-                    f"(repro.telemetry.trace) — the optimization ledger "
-                    f"cannot price this phase; add a mapping or reuse a "
-                    f"mapped name",
+                    f"(repro.telemetry.trace) — no function is attributed "
+                    f"to this phase; add a mapping or reuse a mapped name",
                 )

@@ -1,6 +1,6 @@
 """Happens-before model of ``run_tasks`` for the concurrency rules.
 
-fraclint v4 (FRL021-FRL025) reasons about what the repo's parallel
+fraclint v4 (FRL021, FRL022, FRL024, FRL025) reasons about what the repo's parallel
 executor actually guarantees. The model below is the static counterpart
 of ``repro.parallel.executor.run_tasks``:
 
@@ -152,7 +152,7 @@ class WorkRoot:
 
 @dataclass
 class ConcurrencyModel:
-    """Everything the FRL021-FRL025 rules share, computed once."""
+    """Everything the concurrency rules share, computed once."""
 
     roots: list
     #: worker-reachable qualname -> witness :class:`WorkRoot`
@@ -438,7 +438,7 @@ def _lock_cycles(lock_edges: list) -> list:
 
 
 def build_concurrency_model(project) -> ConcurrencyModel:
-    """Compute the shared FRL021-FRL025 model over a project context."""
+    """Compute the shared concurrency-rule model over a project context."""
     roots = find_work_roots(project)
     lock_edges = _lock_order_edges(project)
     return ConcurrencyModel(

@@ -300,7 +300,6 @@ class ProjectContext:
     def __init__(self, index) -> None:
         self.index = index
         self._graph = None
-        self._perf = None
         self._concurrency = None
 
     @property
@@ -312,26 +311,12 @@ class ProjectContext:
         return self._graph
 
     @property
-    def perf(self):
-        """FRL015–FRL019 findings, computed once per context.
-
-        The shape fixed point and the hooked replays are shared by all
-        five performance rules and by the optimization ledger, so the
-        pass runs at most once however many consumers ask.
-        """
-        if self._perf is None:
-            from repro.analysis.perf import analyze_performance
-
-            self._perf = analyze_performance(self)
-        return self._perf
-
-    @property
     def concurrency(self):
-        """The FRL021–FRL025 happens-before model, computed once.
+        """The happens-before model of the concurrency rules, computed once.
 
         Work roots, worker reachability, mutable globals, the lock
-        inventory, and the lock-order graph are shared by all five
-        concurrency rules, so the model builds at most once per context.
+        inventory, and the lock-order graph are shared by all four
+        concurrency rules (FRL021, FRL022, FRL024, FRL025), so the model builds at most once per context.
         """
         if self._concurrency is None:
             from repro.analysis.concurrency import build_concurrency_model

@@ -50,8 +50,10 @@ __all__ = [
 #: Bump when the index or checker semantics change: stale cache entries
 #: produced by an older fraclint must not satisfy a newer one.
 #: v3: concurrency facts (lock contexts, async markers, attribute
-#: accesses, mutations, with-resource scopes) for FRL021-FRL025.
-CACHE_SCHEMA_VERSION = 3
+#: accesses, mutations, with-resource scopes) for the concurrency rules.
+#: v4: the async markers are gone; a v3 entry's extra keys would not
+#: load through ``FunctionInfo.from_dict``.
+CACHE_SCHEMA_VERSION = 4
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -132,9 +134,7 @@ class FunctionInfo:
     opens: list = field(default_factory=list)
     free_names: list = field(default_factory=list)
     local_defs: dict = field(default_factory=dict)  # bare name -> qualname
-    # -- concurrency facts (fraclint v4, FRL021-FRL025) ------------------
-    is_async: bool = False
-    is_generator: bool = False
+    # -- concurrency facts (fraclint v4, the concurrency rules) ----------
     #: module-level symbol loads: [{"name", "lineno", "locks": [...]}]
     reads: list = field(default_factory=list)
     #: in-place container/global mutations, classified by scope:
@@ -153,8 +153,6 @@ class FunctionInfo:
     lock_defs: list = field(default_factory=list)
     #: "lineno:col" of call sites executed while holding a lock -> locks
     call_locks: dict = field(default_factory=dict)
-    #: "lineno:col" of call sites directly under ``await``
-    awaited: list = field(default_factory=list)
     #: "lineno:col" of call sites used as a with-statement context
     with_calls: list = field(default_factory=list)
 
@@ -170,15 +168,12 @@ class FunctionInfo:
             "opens": self.opens,
             "free_names": self.free_names,
             "local_defs": self.local_defs,
-            "is_async": self.is_async,
-            "is_generator": self.is_generator,
             "reads": self.reads,
             "mutations": self.mutations,
             "attr_accesses": self.attr_accesses,
             "lock_acquires": self.lock_acquires,
             "lock_defs": self.lock_defs,
             "call_locks": self.call_locks,
-            "awaited": self.awaited,
             "with_calls": self.with_calls,
         }
 
@@ -370,18 +365,6 @@ def _dotted_of(expr: ast.AST) -> "str | None":
     return None
 
 
-def _contains_yield(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:
-    stack: list = list(node.body)
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(cur, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(cur))
-    return False
-
-
 #: Lock/semaphore factories whose result is treated as a lock object.
 _LOCK_FACTORIES = frozenset(
     {
@@ -397,10 +380,9 @@ class _ConcurrencyFacts(ast.NodeVisitor):
 
     Walks the same statements as :class:`_FunctionCollector` but tracks
     the ``with``-statement lock stack, producing the facts the
-    concurrency rules (FRL021-FRL025) consume: module-global reads,
+    concurrency rules (FRL021/022/024/025) consume: module-global reads,
     in-place mutations classified by scope, ``self.<field>`` accesses,
-    lock acquisitions with held-set, awaited/with-managed call
-    positions. Nested function and class bodies are skipped — they are
+    lock acquisitions with held-set, with-managed call positions. Nested function and class bodies are skipped — they are
     indexed as functions of their own.
     """
 
@@ -416,7 +398,6 @@ class _ConcurrencyFacts(ast.NodeVisitor):
         self.lock_acquires: list[dict] = []
         self.lock_defs: list[dict] = []
         self.call_locks: dict = {}
-        self.awaited: list[str] = []
         self.with_calls: list[str] = []
 
     # -- driving ----------------------------------------------------------
@@ -599,11 +580,6 @@ class _ConcurrencyFacts(ast.NodeVisitor):
     visit_AsyncWith = visit_With  # type: ignore[assignment]
 
     # -- expressions -------------------------------------------------------
-
-    def visit_Await(self, node: ast.Await) -> None:
-        if isinstance(node.value, ast.Call):
-            self.awaited.append(self._key(node.value))
-        self.visit(node.value)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
@@ -1031,8 +1007,6 @@ class _ModuleCollector:
         )
         collector.visit_body(node.body)
         info = collector.finish()
-        info.is_async = isinstance(node, ast.AsyncFunctionDef)
-        info.is_generator = _contains_yield(node)
         self._attach_facts(info, node.body, params)
         self.index.functions[local] = info.to_dict()
         return local
@@ -1047,7 +1021,6 @@ class _ModuleCollector:
         info.lock_acquires = facts.lock_acquires
         info.lock_defs = facts.lock_defs
         info.call_locks = facts.call_locks
-        info.awaited = facts.awaited
         info.with_calls = facts.with_calls
 
     def _collect_class(self, node: ast.ClassDef) -> None:

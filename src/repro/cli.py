@@ -24,13 +24,12 @@ the run); ``fit`` additionally streams completed feature models to a
 re-executing only the missing items (docs/scaling.md, "Fault tolerance").
 
 Observability: ``--trace run.jsonl`` records the run's full telemetry
-stream to a kill-tolerant JSONL trace, ``--progress`` paints a throttled
-one-line progress display on stderr, and ``--openmetrics metrics.prom``
-keeps a scrapeable OpenMetrics snapshot current during the run. A
-recorded trace is analyzed with ``python -m repro trace run.jsonl``
-(summary), ``trace timeline run.jsonl`` (worker timeline, stragglers,
-critical path), ``trace diff A B`` (two-run comparison), and ``trace
-report run.jsonl`` (markdown run report). See docs/observability.md.
+stream to a kill-tolerant JSONL trace and ``--progress`` paints a
+throttled one-line progress display on stderr. A recorded trace is
+analyzed with ``python -m repro trace run.jsonl`` (summary), ``trace
+timeline run.jsonl`` (worker timeline, stragglers, critical path),
+``trace diff A B`` (two-run comparison), and ``trace report run.jsonl``
+(markdown run report). See docs/observability.md.
 """
 
 from __future__ import annotations
@@ -362,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "trace file (inspect with: python -m repro trace PATH)")
     obs.add_argument("--progress", action="store_true",
                      help="paint a throttled one-line progress display on stderr")
-    obs.add_argument("--openmetrics", default="", metavar="PATH",
-                     help="keep an OpenMetrics text exposition snapshot of the "
-                          "run's metrics at PATH (atomically rewritten, "
-                          "scrape-safe; final state written on exit)")
 
     fit = parser.add_argument_group("fit command")
     fit.add_argument("--dataset", default="breast.basal",
@@ -387,11 +382,10 @@ def main(argv: "list[str] | None" = None) -> int:
 
         enable_console_logging()
     configured = None
-    if args.trace or args.progress or args.openmetrics:
+    if args.trace or args.progress:
         configured = telemetry_runtime.configure(
             trace_path=args.trace or None,
             progress=args.progress,
-            openmetrics_path=args.openmetrics or None,
         )
     try:
         print(_COMMANDS[args.command](args))

@@ -153,7 +153,7 @@ def kfold_indices(
         # Known k-fold cost: k small, indices O(n), and the layout is
         # memoized per row count (shared_folds), so it is paid once per
         # group, not per feature.
-        train = np.concatenate([folds[j] for j in range(k) if j != i])  # fraclint: disable=FRL016
+        train = np.concatenate([folds[j] for j in range(k) if j != i])
         out.append((train, holdout))
     return out
 
@@ -270,10 +270,10 @@ def run_feature_task(task: FeatureTask) -> "tuple[FeatureModel, TaskCost] | None
     # learner has a group counterpart; it stays for unbatched learners,
     # fault plans and decomposed batches, and as the byte-equivalence
     # reference the proof harnesses compare against.
-    for fold, (train_idx, holdout_idx) in enumerate(folds):  # fraclint: disable=FRL015
+    for fold, (train_idx, holdout_idx) in enumerate(folds):
         model = make()
-        model.fit(x_in[train_idx], y[train_idx])  # fraclint: disable=FRL016 -- per-fold row gather of the per-feature reference path
-        preds[holdout_idx] = model.predict(x_in[holdout_idx])  # fraclint: disable=FRL016 -- per-fold holdout gather of the per-feature reference path
+        model.fit(x_in[train_idx], y[train_idx])
+        preds[holdout_idx] = model.predict(x_in[holdout_idx])
         _emit_fold_trained(bus, task, fold, len(folds))
     error_model.fit(preds, y)
     cv_mean_surprisal = float(error_model.surprisal(preds, y).mean())
@@ -476,7 +476,7 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
         refit, error_models, entropies, cv_means = fitted
         shared_cpu = cpu_seconds() - start
         out: "list[tuple[FeatureModel, TaskCost] | None]" = []
-        for j, task in enumerate(batch.tasks):  # fraclint: disable=FRL015 -- O(k) assembly: the tail's numpy work is batched in fit_group; only a ridge member's final refit stays, its Gram being the member's own
+        for j, task in enumerate(batch.tasks):
             per0 = cpu_seconds()
             error_model = error_models[j]
             predictor = refit(j)
@@ -521,13 +521,13 @@ def _fit_real_group(batch, shared, x_full, ys, ids_list, folds):
         # remaining per-member cost is the column gather and its own
         # Gram factorization (a shared factor is not bit-reachable here —
         # see repro.learners.batched).
-        solver = learner.masked_solver(x_full[train_idx], check=False)  # fraclint: disable=FRL016 -- the amortized per-fold gather (one per group, not per feature); priced in the ledger under run_feature_tasks
-        x_holdout = x_full[holdout_idx]  # fraclint: disable=FRL016 -- amortized holdout gather, shared by every member column
+        solver = learner.masked_solver(x_full[train_idx], check=False)
+        x_holdout = x_full[holdout_idx]
         # ascontiguousarray: the column gather is F-contiguous, whose
         # axis-1 reduction takes a strided kernel; each member's
         # reference y.mean() is the 1-D pairwise kernel, which only the
         # C-contiguous rows replay.
-        y_fold = np.ascontiguousarray(ys[:, train_idx])  # fraclint: disable=FRL016 -- amortized target gather: one (k, n_fold) copy per fold for the whole group
+        y_fold = np.ascontiguousarray(ys[:, train_idx])
         if not np.isfinite(y_fold).all():
             # The same error fit_column raises per member; failing the
             # batch routes every member down the per-feature path, which
@@ -546,7 +546,7 @@ def _fit_real_group(batch, shared, x_full, ys, ids_list, folds):
             # ascontiguousarray: the column gather is F-contiguous and
             # gemv dispatches differently there; the reference path's
             # np.ix_ gather is C-contiguous, so replay that layout.
-            x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])  # fraclint: disable=FRL016 -- per-member holdout column gather; O(n*d') next to the member's own O(n*d'^2) Gram
+            x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])
             preds[j, holdout_idx] = x_m @ model.coef_ + model.intercept_
             _emit_fold_trained(bus, task, fold, len(folds))
 
@@ -768,10 +768,10 @@ def gather_surprisals(
 ) -> None:
     """Batched masked scoring, written into ``out`` in place.
 
-    The per-model gather loop this replaces was the optimization ledger's
-    #1 measured finding: seventeen-odd numpy dispatches per feature model
-    (mask, row copy, ``predict`` validation, scalar surprisal) on arrays
-    small enough that dispatch dominated. The batched path (ROADMAP Open
+    The per-model gather loop this replaces made seventeen-odd numpy
+    dispatches per feature model (mask, row copy, ``predict``
+    validation, scalar surprisal) on arrays small enough that dispatch
+    dominated. The batched path (ROADMAP Open
     item 1, scoring half) groups models by (observed-mask bytes, error-
     model type) and amortizes everything the group shares — the mask, the
     truth gather, the surprisal math (one
@@ -804,11 +804,11 @@ def gather_surprisals(
             continue
         rows = np.flatnonzero(mask)
         full = len(rows) == mask.shape[0]
-        x_obs = x_test_imputed if full else x_test_imputed[rows]  # fraclint: disable=FRL016 -- one row gather per mask group (not per model): this IS the batched gather
+        x_obs = x_test_imputed if full else x_test_imputed[rows]
         feat = np.fromiter(
             (models[t].feature_id for t in cols), dtype=np.intp, count=len(cols)
         )
-        truths = x_test_targets[:, feat] if full else x_test_targets[np.ix_(rows, feat)]  # fraclint: disable=FRL016 -- one truth-matrix gather per mask group, amortized over its members
+        truths = x_test_targets[:, feat] if full else x_test_targets[np.ix_(rows, feat)]
         preds = np.empty((len(rows), len(cols)))
         for j, t in enumerate(cols):
             fm = models[t]

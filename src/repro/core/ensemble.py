@@ -63,9 +63,7 @@ def combine_contributions(members: Sequence[ContributionMatrix]) -> np.ndarray:
         if len(vecs) == 1:
             total += vecs[0]
         else:
-            # One stack per feature id over <= n_members short vectors;
-            # bounded by the ensemble size, not the data scale.
-            total += np.median(np.stack(vecs), axis=0)  # fraclint: disable=FRL016
+            total += np.median(np.stack(vecs), axis=0)
     return total
 
 

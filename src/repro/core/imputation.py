@@ -59,9 +59,9 @@ class Preprocessor:
             mean[complete] = xt.mean(axis=1)
             sd = xt.std(axis=1)
             scale[complete] = np.where(sd > 0.0, sd, 1.0)
-        for j in np.flatnonzero(is_real & has_nan):  # fraclint: disable=FRL015 -- NaN-containing real columns must replay the compacted scalar reduction; the batched kernel above covers the NaN-free (common) case
+        for j in np.flatnonzero(is_real & has_nan):
             col = x[:, j]
-            observed = col[~np.isnan(col)]  # fraclint: disable=FRL016 -- compaction is the point: nanmean's association order differs bitwise
+            observed = col[~np.isnan(col)]
             mean[j] = float(observed.mean())
             sd_j = float(observed.std())
             scale[j] = sd_j if sd_j > 0 else 1.0
@@ -69,9 +69,9 @@ class Preprocessor:
             # Fill value in *standardized* units is 0 (the mean); raw
             # units fall back to the column mean itself.
             fill[is_real] = mean[is_real]
-        for j in np.flatnonzero(~is_real):  # fraclint: disable=FRL015 -- per-column mode via np.unique; categorical columns are few and a batched mode has no shared kernel to amortize
+        for j in np.flatnonzero(~is_real):
             col = x[:, j]
-            observed = col[~np.isnan(col)]  # fraclint: disable=FRL016 -- mode needs the compacted column; see note above
+            observed = col[~np.isnan(col)]
             codes, counts = np.unique(observed.astype(np.intp), return_counts=True)
             fill[j] = float(codes[np.argmax(counts)])
         self.fill_ = fill

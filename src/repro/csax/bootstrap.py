@@ -89,14 +89,12 @@ class BootstrapFRaC(AnomalyDetector):
             raise DataError(f"bootstrapping needs at least 4 training samples; got {n}")
         size = max(4, int(round(self.subsample * n)))
         runs = []
-        # Bootstrap replicate loop: each run is a full FRaC fit on an
-        # independent resample — parallelized at the run level, not
-        # batchable across runs; the row gather is the resample itself.
-        for seed in spawn_seeds(self._rng, self.n_runs):  # fraclint: disable=FRL015
+        # Each run is a full FRaC fit on an independent resample.
+        for seed in spawn_seeds(self._rng, self.n_runs):
             gen = np.random.default_rng(seed)
             rows = gen.integers(0, n, size=size)
             frac = FRaC(self.config, rng=gen)
-            frac.fit(x_train[rows], schema)  # fraclint: disable=FRL016 -- the bootstrap resample IS the row gather; one per run by design
+            frac.fit(x_train[rows], schema)
             runs.append(frac)
         self.runs_ = runs
         return self
@@ -112,11 +110,10 @@ class BootstrapFRaC(AnomalyDetector):
         for frac in self.runs_:
             cm = frac.contributions(x_test)
             order = np.argsort(cm.feature_ids)
-            # One column permutation per bootstrap run to align
-            # feature order across runs; bounded by n_runs.
-            values = cm.values[:, order]  # fraclint: disable=FRL016
+            # Align feature order across runs.
+            values = cm.values[:, order]
             if feature_ids is None:
-                feature_ids = cm.feature_ids[order]  # fraclint: disable=FRL016 -- one id permutation on the first run only
+                feature_ids = cm.feature_ids[order]
             # Rank features within each sample: 0 = largest contribution.
             ranks = np.argsort(np.argsort(-values, axis=1), axis=1)
             all_ranks.append(ranks)

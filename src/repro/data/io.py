@@ -75,9 +75,7 @@ def infer_schema(
     specs = []
     for j, name in enumerate(names):
         col = matrix[:, j]
-        # One-shot schema inference at load time: I/O-bound, per-column
-        # masks are not a training-path cost.
-        observed = col[~np.isnan(col)]  # fraclint: disable=FRL016
+        observed = col[~np.isnan(col)]
         force_cat = name in categorical
         force_real = name in real
         is_int_coded = (

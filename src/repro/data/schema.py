@@ -180,9 +180,7 @@ class FeatureSchema:
             )
         for j in self._cat_idx:
             col = x[:, j]
-            # Validation pass over categorical columns only; runs once
-            # per fit/score boundary, not inside the training loop.
-            observed = col[~np.isnan(col)]  # fraclint: disable=FRL016
+            observed = col[~np.isnan(col)]
             if observed.size == 0:
                 continue
             if not np.all(observed == np.round(observed)):

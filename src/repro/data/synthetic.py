@@ -339,8 +339,8 @@ def make_snp_dataset(
     anom = np.flatnonzero(is_anomaly)
 
     a, b = cfg.background_maf_beta
-    # Dirichlet concentration vectors are loop-invariant (FRL019): build
-    # them once, not once per block.
+    # Dirichlet concentration vectors are loop-invariant: build them
+    # once, not once per block.
     alpha_ancestry = np.full(cfg.n_haplotypes, 40.0)
     alpha_background = np.full(cfg.n_haplotypes, 2.0)
     for blk in range(n_blocks):

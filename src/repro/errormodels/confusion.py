@@ -109,10 +109,10 @@ class ConfusionErrorModel(ErrorModel):
         counts = counts.reshape(len(models), width, width).astype(np.float64)
         for a in np.unique(arity):
             members = np.flatnonzero(arity == a)
-            block = np.ascontiguousarray(counts[members, :a, :a])  # fraclint: disable=FRL016 -- one gather per distinct arity, not per member
+            block = np.ascontiguousarray(counts[members, :a, :a])
             smoothed = block + smoothing
             ratio = smoothed / smoothed.sum(axis=2, keepdims=True)
-            for j, table, probs in zip(members, block, ratio):  # fraclint: disable=FRL015 -- per-member np.log replay; the counting above is batched
+            for j, table, probs in zip(members, block, ratio):
                 models[j].counts_ = table
                 # Positive by construction: smoothing > 0 in every cell.
                 models[j].log_prob_ = np.log(probs)  # fraclint: disable=FRL003

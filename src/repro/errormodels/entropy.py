@@ -62,10 +62,10 @@ def batch_discrete_entropy(values: np.ndarray, arities: "list[int]") -> np.ndarr
     ).reshape(len(arity), width)
     freqs = counts / values.shape[1]
     out = np.empty(len(arity))
-    for j in range(len(arity)):  # fraclint: disable=FRL015 -- per-row log replay; the counting above is batched
-        p = freqs[j][counts[j] > 0]  # fraclint: disable=FRL016 -- the 1-D frequency vector the scalar path logs
+    for j in range(len(arity)):
+        p = freqs[j][counts[j] > 0]
         # Positive by construction: only observed codes are kept.
-        out[j] = -(p * np.log(p)).sum()  # fraclint: disable=FRL003,FRL018
+        out[j] = -(p * np.log(p)).sum()  # fraclint: disable=FRL003
     return out
 
 

@@ -88,7 +88,7 @@ class GaussianErrorModel(ErrorModel):
         mus = resid.mean(axis=1)
         sigmas = resid.std(axis=1)
         models = []
-        for mu, sigma in zip(mus, sigmas):  # fraclint: disable=FRL015 -- O(k) attribute assembly; the O(k*n) reductions above are batched
+        for mu, sigma in zip(mus, sigmas):
             model = cls(sigma_floor=sigma_floor)
             model.mu_ = float(mu)
             model.sigma_ = float(max(float(sigma), model.sigma_floor))

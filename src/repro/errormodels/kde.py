@@ -73,7 +73,7 @@ def batch_silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
     sds = samples.std(axis=1)
     ordered = np.sort(samples, axis=1)
     out = np.empty(k)
-    for i in range(k):  # fraclint: disable=FRL015 -- O(k) float scalar arithmetic; the O(k*n) reductions above are batched
+    for i in range(k):
         sd = float(sds[i])
         iqr = _quartile(ordered[i], 0.75) - _quartile(ordered[i], 0.25)
         spread_candidates = [s for s in (sd, iqr / 1.34) if s > 0]
@@ -111,9 +111,9 @@ def batch_entropy(samples: np.ndarray, *, chunk_bytes: int = 1 << 25) -> np.ndar
     if k == 0:
         return out
     h = batch_silverman_bandwidth(samples)
-    log_norm = np.array([np.log(n * hi) for hi in h])  # fraclint: disable=FRL003,FRL015 -- per-row scalar np.log replays logpdf's normalizer bit for bit (h floored positive)
+    log_norm = np.array([np.log(n * hi) for hi in h])  # fraclint: disable=FRL003 -- per-row scalar np.log replays logpdf's normalizer bit for bit (h floored positive)
     rows_per_chunk = max(1, int(chunk_bytes // max(n * n * 8, 1)))
-    for lo in range(0, k, rows_per_chunk):  # fraclint: disable=FRL015 -- O(k/chunk) iterations; every chunk runs fully vectorized, the loop only bounds the (chunk, n, n) tensor's peak memory
+    for lo in range(0, k, rows_per_chunk):
         hi = min(lo + rows_per_chunk, k)
         s = samples[lo:hi]
         z = (s[:, :, None] - s[:, None, :]) / h[lo:hi, None, None]

@@ -449,7 +449,7 @@ class _TermTable:
             terms = self._term(counts / sizes.astype(np.float64))
         if self.columns < _SEQUENTIAL_SUM:
             sums = terms[0].copy()
-            for column in terms[1:]:  # fraclint: disable=FRL015 -- one vectorized add per class (fewer than _SEQUENTIAL_SUM), numpy's left-to-right order
+            for column in terms[1:]:
                 sums += column
         else:
             rows = np.ascontiguousarray(terms.T)
@@ -458,9 +458,9 @@ class _TermTable:
             else:
                 width = self.width[owner]
                 sums = np.empty(rows.shape[0])
-                for w in np.unique(width):  # fraclint: disable=FRL015 -- one pass per sum width: one below _SEQUENTIAL_SUM plus each class count above it
+                for w in np.unique(width):
                     at = np.flatnonzero(width == w)
-                    sums[at] = np.ascontiguousarray(rows[at, :w]).sum(axis=-1)  # fraclint: disable=FRL016 -- one gather per sum width, not per side
+                    sums[at] = np.ascontiguousarray(rows[at, :w]).sum(axis=-1)
         if self.criterion == "gini":
             return 1.0 - sums
         return -sums
@@ -605,20 +605,20 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
         rank = np.full(g, -1, dtype=np.intp)
         n_train, width = below.shape
         chunk = max(1, self._MAX_TABLE // max(1, width * (c + 1)))
-        for start in range(0, len(cand), chunk):  # fraclint: disable=FRL015 -- chunks of nodes bound the count table's memory; one chunk on SNP-sized groups
+        for start in range(0, len(cand), chunk):
             sel = cand[start : start + chunk]
             rank[sel] = np.arange(len(sel))
             at = rank[node]
             inside = np.flatnonzero(at >= 0)
-            rows = at[inside] * (c + 1)  # fraclint: disable=FRL016 -- one gather per chunk of nodes, not per node
+            rows = at[inside] * (c + 1)
             onehot = np.zeros((len(sel) * (c + 1), n_train), dtype=np.float32)
             onehot[rows + code[inside], tpos[inside]] = 1.0
             onehot[rows + c, tpos[inside]] = 1.0
             # (width, node, class) layout: a candidate's counts are one row.
             table = below.T @ onehot.T
-            s, w, th = self._best_splits(table, m[sel], whole[:, sel], parent_imp[sel], pos[member[sel]], member[sel], terms)  # fraclint: disable=FRL016 -- per-chunk slices of the level's node arrays
-            feature[sel[s]] = pos[member[sel[s]], w]  # fraclint: disable=FRL016 -- per-chunk scatter of the chosen splits
-            column[sel[s]], threshold[sel[s]] = w, th  # fraclint: disable=FRL016 -- per-chunk scatter of the chosen splits
+            s, w, th = self._best_splits(table, m[sel], whole[:, sel], parent_imp[sel], pos[member[sel]], member[sel], terms)
+            feature[sel[s]] = pos[member[sel[s]], w]
+            column[sel[s]], threshold[sel[s]] = w, th
             rank[sel] = -1
         split = feature != _NO_FEATURE
         value = np.zeros(g)
@@ -678,7 +678,7 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
         right = terms.impurity(np.repeat(whole, per_node, axis=1) - left_at, owner)
         mq = np.repeat(m, per_node)
         # Positive by construction: a node holds >= 1 training row.
-        weighted = (sz * left + (mq - sz) * right) / mq  # fraclint: disable=FRL018
+        weighted = (sz * left + (mq - sz) * right) / mq
 
         nodes = np.flatnonzero(per_node)
         starts = np.cumsum(per_node)[nodes] - per_node[nodes]
@@ -710,16 +710,16 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
             size = np.ones(len(level.member), dtype=np.intp)
             split = np.flatnonzero(level.child >= 0)
             if len(split):
-                left = level.child[split]  # fraclint: disable=FRL016 -- per depth level, not per node
-                size[split] += sizes[depth + 1][left] + sizes[depth + 1][left + 1]  # fraclint: disable=FRL016 -- per depth level, not per node
+                left = level.child[split]
+                size[split] += sizes[depth + 1][left] + sizes[depth + 1][left + 1]
             sizes[depth] = size
         pre = [np.zeros(n_members, dtype=np.intp)]
         for depth, level in enumerate(levels[:-1]):
             split = np.flatnonzero(level.child >= 0)
-            left, start = level.child[split], pre[depth][split] + 1  # fraclint: disable=FRL016 -- per depth level, not per node
+            left, start = level.child[split], pre[depth][split] + 1
             nxt = np.empty(len(levels[depth + 1].member), dtype=np.intp)
             nxt[left] = start
-            nxt[left + 1] = start + sizes[depth + 1][left]  # fraclint: disable=FRL016 -- per depth level, not per node
+            nxt[left + 1] = start + sizes[depth + 1][left]
             pre.append(nxt)
 
         total = sizes[0]
@@ -731,14 +731,14 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
         right_of = np.full(n_nodes, -1, dtype=np.intp)
         value = np.empty(n_nodes)
         for depth, level in enumerate(levels):
-            pos = offset[level.member] + pre[depth]  # fraclint: disable=FRL016 -- per depth level, not per node
+            pos = offset[level.member] + pre[depth]
             feature[pos] = level.feature
             threshold[pos] = level.threshold
             value[pos] = level.value
             split = np.flatnonzero(level.child >= 0)
             if len(split):
-                left, at = level.child[split], pos[split]  # fraclint: disable=FRL016 -- per depth level, not per node
-                left_of[at], right_of[at] = pre[depth + 1][left], pre[depth + 1][left + 1]  # fraclint: disable=FRL016 -- per depth level, not per node
+                left, at = level.child[split], pos[split]
+                left_of[at], right_of[at] = pre[depth + 1][left], pre[depth + 1][left + 1]
         return [
             _Tree(
                 feature=feature[lo:hi].copy(),

@@ -21,9 +21,7 @@ its results:
 - :mod:`~repro.telemetry.diff` — two-trace comparison behind
   ``python -m repro trace diff A B``;
 - :mod:`~repro.telemetry.report` — the markdown run report behind
-  ``python -m repro trace report``;
-- :mod:`~repro.telemetry.openmetrics` — stdlib OpenMetrics text
-  exposition (``--openmetrics PATH``).
+  ``python -m repro trace report``.
 
 Telemetry is **off by default and zero-overhead when off**: the ambient
 bus (:func:`get_bus`) is ``None`` and every instrumentation site is a
@@ -65,11 +63,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-)
-from repro.telemetry.openmetrics import (
-    OpenMetricsSink,
-    metric_name,
-    render_openmetrics,
 )
 from repro.telemetry.report import render_run_report
 from repro.telemetry.runtime import (
@@ -173,7 +166,4 @@ __all__ = [
     "diff_traces",
     "render_trace_diff",
     "render_run_report",
-    "OpenMetricsSink",
-    "render_openmetrics",
-    "metric_name",
 ]

@@ -53,7 +53,6 @@ def configure(
     trace_path: "str | None" = None,
     progress: bool = False,
     append: bool = False,
-    openmetrics_path: "str | None" = None,
     extra_sinks: "list | None" = None,
 ) -> EventBus:
     """Build and install an ambient bus from the common sink recipe.
@@ -65,12 +64,6 @@ def configure(
         sinks.append(JsonlTraceSink(trace_path, append=append))
     if progress:
         sinks.append(ProgressSink())
-    if openmetrics_path:
-        # Imported here: the OpenMetrics module is only needed when the
-        # exposition is requested, keeping the default path lean.
-        from repro.telemetry.openmetrics import OpenMetricsSink
-
-        sinks.append(OpenMetricsSink(openmetrics_path))
     sinks.extend(extra_sinks or [])
     bus = EventBus(sinks, trace_path=str(trace_path) if trace_path else None)
     previous = set_bus(bus)

@@ -267,28 +267,23 @@ def summarize_trace(result: "TraceReadResult | list") -> TraceSummary:
     return summary
 
 
-#: Span name -> the call-graph qualname whose cost the span measures.
+#: Span name -> the qualname of the function whose cost the span measures.
 #: Parametrized spans (``ensemble.member[3]``) match by their base name.
-#: This is the join key between fracscope traces and fraclint's call
-#: graph: the optimization ledger (``python -m repro.analysis --profile``)
-#: uses it to price static findings with measured wall/CPU time.
+#: ``repro trace diff`` uses it to pair spans renamed between two traces,
+#: and fraclint's FRL020 requires every literal span name to be a key.
 SPAN_QUALNAMES = {
     "fit.preprocess": "repro.core.imputation.Preprocessor.fit",
     "fit.build_tasks": "repro.core.frac.FRaC.fit",
-    # The training span wraps the batched/per-feature dispatcher, so
-    # findings in run_feature_task AND run_feature_batch both price to it
-    # (the ledger walks call-graph reachability from this function).
+    # The training span wraps the batched/per-feature dispatcher.
     "fit.train": "repro.core.engine.run_feature_tasks",
-    # One batch-wave work item: carries batch_size / group attrs so the
-    # next perf PR can price per-group amortization from trace data.
+    # One batch-wave work item: carries batch_size / group attrs.
     "fit.batch": "repro.core.engine.run_feature_batch",
     "score.contributions": "repro.core.engine.score_contributions",
     # The scoring hot path, nested under score.contributions. The span
     # was named score.gather while gather_surprisals was the per-model
-    # masked-copy loop (the ledger's then-#1 measured finding) and became
-    # score.batch when the loop was batched; both names map to the same
-    # qualname, which is how `repro trace diff` matches the renamed
-    # populations across old and new traces.
+    # masked-copy loop and became score.batch when the loop was batched;
+    # both names map to the same qualname, which is how `repro trace diff`
+    # matches the renamed populations across old and new traces.
     "score.gather": "repro.core.engine.gather_surprisals",
     "score.batch": "repro.core.engine.gather_surprisals",
     "jl.project": "repro.core.preprojection.JLFRaC._project",
@@ -304,50 +299,6 @@ def qualname_for_span(span: str) -> "str | None":
     """
     base = span.split("[", 1)[0]
     return SPAN_QUALNAMES.get(base)
-
-
-@dataclass
-class AttributedCost:
-    """Measured cost folded onto one call-graph qualname."""
-
-    qualname: str
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    n_spans: int = 0
-    #: FeatureTaskFinished count when the qualname is the task body.
-    n_tasks: int = 0
-
-
-def attribute_trace(records: list) -> "dict[str, AttributedCost]":
-    """Fold a trace's span costs onto call-graph qualnames.
-
-    ``SpanFinished`` events supply wall/CPU seconds via
-    :data:`SPAN_QUALNAMES`; ``FeatureTaskFinished`` events add the task
-    count to the task-body qualname (``fit.train``'s target) without
-    double-counting time. Spans with no mapping are ignored — they are
-    visible in :func:`summarize_trace` either way.
-    """
-    costs: dict[str, AttributedCost] = {}
-
-    def bucket(qualname: str) -> AttributedCost:
-        if qualname not in costs:
-            costs[qualname] = AttributedCost(qualname=qualname)
-        return costs[qualname]
-
-    for rec in records:
-        event = rec.get("event")
-        if event == "SpanFinished":
-            qualname = qualname_for_span(rec.get("span", ""))
-            if qualname is None:
-                continue
-            agg = bucket(qualname)
-            agg.wall_s += rec.get("wall_s", 0.0)
-            agg.cpu_s += rec.get("cpu_s", 0.0)
-            agg.n_spans += 1
-        elif event == "FeatureTaskFinished":
-            agg = bucket(SPAN_QUALNAMES["fit.train"])
-            agg.n_tasks += 1
-    return costs
 
 
 def render_trace_summary(summary: TraceSummary) -> str:

@@ -1,11 +1,9 @@
 """Adversarial cases: the analyzer must degrade gracefully, not guess.
 
-Everything in this file is required to scan CLEAN for FRL021-FRL025:
-a dynamically-fetched lock attribute is neither guarded nor unguarded
-evidence, a lock received as a parameter still exempts the accesses
-under it (without entering the global lock-order graph), and calling an
-``async`` *generator* returns an iterator, not a coroutine — it must
-not be flagged as unawaited.
+Everything in this file is required to scan CLEAN for the concurrency
+rules: a dynamically-fetched lock attribute is neither guarded nor
+unguarded evidence, and a lock received as a parameter still exempts the
+accesses under it (without entering the global lock-order graph).
 """
 
 import threading
@@ -33,13 +31,3 @@ def guarded_update(lock, store, key):
     with lock:  # lock passed as argument: exempts, never ordered
         store[key] = key
     return store
-
-
-async def stream(items):
-    for item in items:
-        yield item  # async generator, not a coroutine
-
-
-def kickoff(items):
-    stream(items)  # returns an async iterator: not an unawaited coroutine
-    return None

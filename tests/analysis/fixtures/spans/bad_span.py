@@ -1,7 +1,7 @@
 """FRL020 fixture: span names with no SPAN_QUALNAMES mapping.
 
 Both the plain literal and the parametrized f-string carry a literal
-base name the ledger cannot join to the call graph.
+base name that SPAN_QUALNAMES does not attribute to any function.
 """
 
 from repro.telemetry.spans import span

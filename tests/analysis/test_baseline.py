@@ -11,7 +11,6 @@ from repro.analysis.baseline import (
     collect_suppressions,
     load_baseline,
     update_baseline,
-    write_baseline,
 )
 from repro.utils.exceptions import ReproError
 
@@ -67,7 +66,7 @@ class TestRoundTrip:
     def test_write_then_load(self, tmp_path):
         src = _tree(tmp_path, NOTED)
         out = tmp_path / "baseline.json"
-        write_baseline(out, collect_suppressions([src]))
+        update_baseline(out, collect_suppressions([src]))
         baseline = load_baseline(out)
         assert baseline["total"] == 1
         assert list(baseline["counts"].values()) == [1]
@@ -87,7 +86,7 @@ class TestBudget:
     def _baseline_for(self, tmp_path, body):
         src = _tree(tmp_path, body)
         out = tmp_path / "baseline.json"
-        write_baseline(out, collect_suppressions([src]))
+        update_baseline(out, collect_suppressions([src]))
         return src, load_baseline(out)
 
     def test_within_baseline_passes(self, tmp_path):
@@ -124,18 +123,21 @@ class TestBudget:
 
 
 class TestCli:
-    def test_write_baseline_then_gate(self, tmp_path, capsys):
+    def test_update_baseline_writes_a_missing_file_then_gate(self, tmp_path, capsys):
         src = _tree(tmp_path, NOTED)
-        out = tmp_path / "baseline.json"
-        assert main([str(src), "--write-baseline", str(out)]) == 0
+        out = tmp_path / "fresh" / "baseline.json"
+        assert not out.exists()
+        assert main([str(src), "--update-baseline", str(out)]) == 0
         assert out.is_file()
+        [(key, count)] = load_baseline(out)["counts"].items()
+        assert key.endswith("m.py::FRL003") and count == 1
         assert main([str(src), "--baseline", str(out)]) == 0
         assert "within baseline" in capsys.readouterr().out
 
     def test_gate_fails_on_unnoted_growth(self, tmp_path, capsys):
         src = _tree(tmp_path, NOTED)
         out = tmp_path / "baseline.json"
-        assert main([str(src), "--write-baseline", str(out)]) == 0
+        assert main([str(src), "--update-baseline", str(out)]) == 0
         (src / "m.py").write_text(UNNOTED)
         assert main([str(src), "--baseline", str(out)]) == 1
         assert "over baseline" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""FRL021–FRL025 concurrency rules: fixtures, model, determinism, self-check."""
+"""FRL021/022/024/025 concurrency rules: fixtures, model, determinism, self-check."""
 
 import json
 import os
@@ -19,7 +19,7 @@ from repro.analysis.index import ProjectIndex, index_module
 ROOT = Path(__file__).resolve().parents[2]
 CONC = Path(__file__).resolve().parent / "fixtures" / "concurrency"
 
-CONCURRENCY_RULES = ("FRL021", "FRL022", "FRL023", "FRL024", "FRL025")
+CONCURRENCY_RULES = ("FRL021", "FRL022", "FRL024", "FRL025")
 
 
 @pytest.fixture(scope="module")
@@ -94,39 +94,6 @@ class TestLockDiscipline:
         assert all(name != "good_lock.py" for name, _ in _hits(conc_result, "FRL022"))
 
 
-class TestAsyncSafety:
-    def test_direct_blocking_sleep(self, conc_result):
-        assert ("bad_async.py", 20) in _hits(conc_result, "FRL023")
-
-    def test_transitive_blocking_anchored_at_first_hop(self, conc_result):
-        [v] = [
-            v
-            for v in _messages(conc_result, "FRL023")
-            if v.line == 25 and v.path.endswith("bad_async.py")
-        ]
-        assert "load_rows" in v.message
-        assert "transitively" in v.message
-
-    def test_unawaited_coroutine(self, conc_result):
-        [v] = [
-            v
-            for v in _messages(conc_result, "FRL023")
-            if v.line == 29 and v.path.endswith("bad_async.py")
-        ]
-        assert "without awaiting" in v.message
-
-    def test_fire_and_forget_create_task(self, conc_result):
-        [v] = [
-            v
-            for v in _messages(conc_result, "FRL023")
-            if v.line == 35 and v.path.endswith("bad_async.py")
-        ]
-        assert "fire-and-forget" in v.message
-
-    def test_awaited_and_held_variants_clean(self, conc_result):
-        assert all(name != "good_async.py" for name, _ in _hits(conc_result, "FRL023"))
-
-
 class TestResourceLifecycle:
     def test_leaked_resource_flagged_at_constructor(self, conc_result):
         hits = _hits(conc_result, "FRL024")
@@ -163,7 +130,7 @@ class TestWorkerGlobalWrite:
 
 
 class TestAdversarial:
-    """Dynamic locks, parameter locks, async generators: degrade, don't guess."""
+    """Dynamic locks and parameter locks: degrade, don't guess."""
 
     def test_adversarial_file_scans_clean(self, conc_result):
         noise = [

@@ -1,6 +1,7 @@
 """Framework-level tests: suppressions, aliases, CLI, reporters."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from repro.analysis import (
     render_text,
 )
 from repro.analysis.__main__ import main
+from repro.analysis.baseline import collect_suppressions
 from repro.analysis.framework import (
     EXPLAIN_SECTIONS,
     PARSE_ERROR_RULE,
@@ -26,6 +28,9 @@ from repro.analysis.framework import (
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: The rules fraclint ships (docs/invariants.md, "Value table").
+KEPT_RULES = {f"FRL{n:03d}" for n in [*range(1, 15), 20, 21, 22, 24, 25]}
 
 
 class TestRegistry:
@@ -37,17 +42,33 @@ class TestRegistry:
         assert len(set(rules)) == len(rules)
 
     def test_expected_rule_ids_present(self):
-        rules = {c.rule for c in all_checkers()}
-        assert {
-            "FRL001",
-            "FRL002",
-            "FRL003",
-            "FRL004",
-            "FRL005",
-            "FRL006",
-            "FRL007",
-            "FRL008",
-        } <= rules
+        assert {c.rule for c in all_checkers()} == KEPT_RULES
+
+    def test_docs_and_catalogue_name_exactly_the_registered_rules(self):
+        import repro.analysis.checkers as checkers_pkg
+
+        docs = (ROOT / "docs" / "invariants.md").read_text(encoding="utf-8")
+        headings = set(re.findall(r"^### (FRL\d{3}) ", docs, flags=re.MULTILINE))
+        catalogue = set(
+            re.findall(r"^(FRL\d{3}) ", checkers_pkg.__doc__, flags=re.MULTILINE)
+        )
+        registered = {c.rule for c in all_checkers()}
+        assert headings == registered
+        assert catalogue == registered
+
+    def test_every_suppression_names_a_registered_rule(self):
+        known = {c.rule for c in all_checkers()} | {"*"}  # "*" is disable=all
+        fixtures = ROOT / "tests" / "analysis" / "fixtures"
+        records = [
+            r
+            for r in collect_suppressions(
+                [ROOT / d for d in ("src", "tests", "benchmarks", "examples")]
+            )
+            if not Path(r["path"]).resolve().is_relative_to(fixtures)
+        ]
+        assert records, "no suppressions found: the scan is broken"
+        stale = [r for r in records if not set(r["rules"]) <= known]
+        assert stale == [], stale
 
     def test_every_rule_documented(self):
         for checker in all_checkers():
@@ -187,9 +208,22 @@ class TestCli:
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ("FRL001", "FRL008"):
-            assert rule in out
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split()[0] for line in lines} == KEPT_RULES
+        assert len(lines) == len(KEPT_RULES)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--profile", "trace.jsonl"],
+            ["--format", "ledger"],
+            ["--write-baseline", "baseline.json"],
+        ],
+    )
+    def test_retired_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(FIXTURES / "clean.py")])
+        assert excinfo.value.code == 2
 
 
 class TestSelfCheck:

@@ -19,7 +19,7 @@ class TestSpanAttribution:
         assert "fit.nonexistent" in violations[0].message
         assert "score.mystery" in violations[1].message
         assert "SPAN_QUALNAMES" in violations[0].message
-        assert "ledger" in violations[0].message  # says *why* it matters
+        assert "no function is attributed" in violations[0].message  # says *why*
 
     def test_mapped_parametrized_and_dynamic_names_are_clean(self):
         assert _violations("good_span.py") == []

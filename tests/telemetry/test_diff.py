@@ -11,11 +11,11 @@ from repro.telemetry.diff import (
     render_trace_diff,
 )
 
-ROOT = Path(__file__).resolve().parents[2]
-BATCHED_TRACE = ROOT / "benchmarks" / "results" / "BENCH_table2_trace.jsonl"
-PER_FEATURE_TRACE = (
-    ROOT / "benchmarks" / "results" / "BENCH_table2_trace_per_feature.jsonl"
-)
+# Frozen copies of Table II traces: the benches write theirs to
+# benchmarks/results/, so re-running one never moves these pins.
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+BATCHED_TRACE = FIXTURES / "BENCH_table2_trace.jsonl"
+PER_FEATURE_TRACE = FIXTURES / "BENCH_table2_trace_per_feature.jsonl"
 # Recorded with the retired exact-key training batches and per-model
 # ``score.gather`` loop. That engine is gone from the tree; the committed
 # trace stays as a fixture, and git history can regenerate it (the
@@ -24,9 +24,7 @@ PER_FEATURE_TRACE = (
 # every ``SpanFinished`` record with its span, depth, wall, CPU and RSS,
 # so every population, count, wall and the speedup diff exactly as from
 # the full recording.
-SINGLETON_TRACE = (
-    ROOT / "benchmarks" / "results" / "BENCH_table2_trace_batched_ridge.jsonl"
-)
+SINGLETON_TRACE = FIXTURES / "BENCH_table2_trace_batched_ridge.jsonl"
 
 
 def span_done(name, wall, *, depth=0, cpu=None, rss=0):
@@ -143,6 +141,18 @@ class TestCommittedTableIIPin:
             label_b="batched-scoring",
         )
         assert render_trace_diff(again) == render_trace_diff(diff)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [BATCHED_TRACE, PER_FEATURE_TRACE, SINGLETON_TRACE],
+        ids=["batched", "per_feature", "batched_ridge"],
+    )
+    def test_fixture_is_a_valid_fracscope_trace(self, trace):
+        from repro.telemetry.trace import read_trace
+
+        result = read_trace(trace)
+        assert "SpanFinished" in {r["event"] for r in result.records}
+        assert result.n_torn == 0 and result.errors == []
 
 
 class TestCommittedScoringRewritePin:

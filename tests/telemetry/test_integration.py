@@ -75,24 +75,6 @@ class TestZeroOverheadOff:
         assert baseline.tobytes() == traced.tobytes()
         assert trace.exists()
 
-    def test_scores_byte_identical_with_openmetrics_sink(
-        self, no_ambient_bus, tiny_rep, tmp_path
-    ):
-        """ISSUE 8 acceptance: OpenMetrics is observation-only."""
-        _, baseline = _fit_scores(tiny_rep)
-
-        metrics = tmp_path / "metrics.prom"
-        telemetry_runtime.configure(openmetrics_path=str(metrics))
-        try:
-            _, observed = _fit_scores(tiny_rep)
-        finally:
-            telemetry_runtime.shutdown()
-
-        assert baseline.tobytes() == observed.tobytes()
-        text = metrics.read_text(encoding="utf-8")
-        assert "repro_runs_finished_ok_total" in text
-        assert text.endswith("# EOF\n")
-
 
 class TestReplayDeterminism:
     def _traced_fit(self, rep, path):
@@ -248,6 +230,11 @@ class TestTraceCli:
     def test_trace_without_path_errors(self, no_ambient_bus, capsys):
         assert cli_main(["trace"]) == 2
         assert "trace requires a trace file" in capsys.readouterr().err
+
+    def test_openmetrics_flag_is_rejected(self, no_ambient_bus, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["table1", "--openmetrics", str(tmp_path / "metrics.prom")])
+        assert excinfo.value.code == 2
 
     def test_corrupt_mid_file_trace_errors(self, no_ambient_bus, tmp_path, capsys):
         trace = tmp_path / "corrupt.jsonl"

@@ -177,7 +177,7 @@ class TestRender:
 
 
 class TestAttribution:
-    """span -> call-graph qualname attribution (the ledger's join key)."""
+    """span -> qualname attribution (the join key of `repro trace diff`)."""
 
     def test_known_spans_map_and_parameter_suffix_is_stripped(self):
         from repro.telemetry.trace import SPAN_QUALNAMES, qualname_for_span
@@ -188,31 +188,6 @@ class TestAttribution:
             == SPAN_QUALNAMES["ensemble.member"]
         )
         assert qualname_for_span("no.such.span") is None
-
-    def test_costs_fold_and_tasks_count_without_double_counting_time(self):
-        from repro.telemetry.trace import attribute_trace
-
-        records = [
-            rec(1, "SpanFinished", span="fit.train", wall_s=2.0, cpu_s=1.5),
-            rec(2, "SpanFinished", span="fit.train", wall_s=3.0, cpu_s=2.5),
-            rec(3, "SpanFinished", span="ensemble.member[0]", wall_s=1.0, cpu_s=1.0),
-            rec(4, "SpanFinished", span="ensemble.member[1]", wall_s=1.0, cpu_s=1.0),
-            rec(5, "SpanFinished", span="unmapped.phase", wall_s=9.0, cpu_s=9.0),
-            rec(6, "FeatureTaskFinished", status="ok", duration_s=0.1),
-            rec(7, "FeatureTaskFinished", status="ok", duration_s=0.1),
-        ]
-        costs = attribute_trace(records)
-        train = costs["repro.core.engine.run_feature_tasks"]
-        assert train.wall_s == pytest.approx(5.0)
-        assert train.cpu_s == pytest.approx(4.0)
-        assert train.n_spans == 2
-        assert train.n_tasks == 2
-        member = costs["repro.core.ensemble.FRaCEnsemble.fit"]
-        assert member.wall_s == pytest.approx(2.0)
-        assert member.n_spans == 2
-        assert member.n_tasks == 0
-        # the unmapped span contributes nothing
-        assert all("unmapped" not in q for q in costs)
 
     def test_span_qualnames_point_at_real_functions(self):
         """The attribution table must not drift from the instrumented code."""

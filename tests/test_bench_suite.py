@@ -82,6 +82,14 @@ class TestTable2Trajectory:
         assert "batched-ridge" in labels  # the batched-training rewrite
         assert "batched-scoring" in labels  # masked groups + batched scoring
 
+    def test_every_entry_carries_positive_measurements(self, payload):
+        for entry in payload["entries"]:
+            assert entry["label"]
+            for key in ("wall_s", "cpu_s", "rss_peak_bytes", "features_per_s"):
+                assert isinstance(entry[key], (int, float)) and entry[key] > 0
+            assert entry["n_feature_tasks"] > 0
+            assert entry["rows"], "per-dataset rows missing"
+
     def test_features_per_s_did_not_regress(self, payload):
         by_label = {e["label"]: e for e in payload["entries"]}
         baseline = by_label["per-feature-linear-svr"]
