@@ -15,7 +15,6 @@ and span events; compare it with an earlier run through
 so re-running this bench never moves a test pin.
 """
 
-import numpy as np
 from conftest import capture_trace, condense_trace, emit, emit_json
 
 from repro.data.compendium import COMPENDIUM
@@ -48,13 +47,11 @@ def bench_table2(benchmark, settings, results_dir):
     # together, so one label covers both halves of the rewrite; the
     # autism row's trees grow in groups too when the SNP classifier has a
     # group counterpart.
-    snp = settings.snp_config
-    group_tree = BATCHED_CLASSIFIERS.get(snp.classifier)
     if not supports_batching(expr.regressor):
         label = f"per-feature-{expr.regressor}"
-    # Genotype designs are small integer codes, so the SNP classifier's
-    # parameters decide whether the planner groups its trees.
-    elif group_tree is not None and group_tree.accepts(snp.classifier_params, np.zeros((1, 1))):
+    # Genotype designs are small integer codes, so the planner groups the
+    # SNP classifier's trees whenever it has a group counterpart.
+    elif settings.snp_config.classifier in BATCHED_CLASSIFIERS:
         label = "batched-trees"
     else:
         label = "batched-scoring"

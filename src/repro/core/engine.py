@@ -30,12 +30,11 @@ per group instead of once per feature.
   factorization, and solves (the masked solver protocol of
   :mod:`repro.learners.batched`).
 - Categorical targets batch when the classifier is in
-  :data:`~repro.learners.registry.BATCHED_CLASSIFIERS` (trees without
-  ``max_features``) and the group's design is small integer codes: each
-  fold grows every member's tree at once, level by level, from one-hot
-  count products (:meth:`~repro.learners.decision_tree.
-  BatchedTreeClassifier.fit_group`), and the confusion-matrix fits and
-  discrete entropies batch with them.
+  :data:`~repro.learners.registry.BATCHED_CLASSIFIERS` (trees) and the
+  group's design is small integer codes: each fold grows every member's
+  tree at once, level by level, from one-hot count products
+  (:meth:`~repro.learners.decision_tree.BatchedTreeClassifier.fit_group`),
+  and the confusion-matrix fits and discrete entropies batch with them.
 
 The batched path is **byte-identical** to the per-feature path — NS
 scores, contributions, ``cv_mean_surprisal``, persisted artifacts — and
@@ -48,10 +47,10 @@ caller's retry policy.
 
 :func:`run_feature_task` is the one per-feature path. It serves learners
 without a group counterpart (the paper-exact ``linear_svr``,
-``tree_regressor``, ``max_features`` trees), categorical designs that are
-not small integer codes, decomposed batches, and deterministic fault
-injection: ``fault_plan`` targets the per-feature index space, so plans
-route the whole run down this path.
+``tree_regressor``), categorical designs that are not small integer
+codes, decomposed batches, and deterministic fault injection:
+``fault_plan`` targets the per-feature index space, so plans route the
+whole run down this path.
 """
 
 from __future__ import annotations
@@ -355,10 +354,9 @@ def plan_feature_batches(
     counterpart (:data:`~repro.learners.registry.BATCHED_REGRESSORS`). A
     categorical task is batchable when the classifier has a group
     counterpart (:data:`~repro.learners.registry.BATCHED_CLASSIFIERS`)
-    whose ``accepts`` takes the classifier parameters and the group's
-    design over the rows and input columns the group uses: for trees, no
-    ``max_features`` and small non-negative integer codes — then every
-    fold's row subset is too. Everything else passes through to
+    whose ``accepts`` takes the group's design over the rows and input
+    columns the group uses: for trees, small non-negative integer codes —
+    then every fold's row subset is too. Everything else passes through to
     :func:`run_feature_task`.
 
     Group identity is the target kind plus the byte pattern of the
@@ -389,7 +387,7 @@ def plan_feature_batches(
     batches: list[FeatureBatch] = []
     for (mask_bytes, categorical), positions in by_mask.items():
         if categorical and not group_tree.accepts(
-            cfg.classifier_params, _group_design(shared, mask_bytes, [tasks[p] for p in positions])
+            _group_design(shared, mask_bytes, [tasks[p] for p in positions])
         ):
             passthrough.extend(positions)
             continue

@@ -13,20 +13,18 @@ counts (or cumulative sums for regression), and evaluates every valid
 threshold of every feature in one shot. The per-node cost is
 ``O(m log m * width)`` for ``m`` node samples.
 
-``max_features`` (int, float fraction, or ``"sqrt"``) subsamples candidate
-features per node, which is how diverse/random-forest-style trees are
-expressed.
+Classifier designs of small non-negative integer codes (SNP 0/1/2) grow
+level by level from count tables instead (:class:`_GroupClassifierBuilder`,
+as a group of one), to the tree the sorted sweep grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from repro.learners.base import Classifier, Regressor
-from repro.utils.rng import as_generator
 from repro.utils.validation import check_2d, check_fitted
 
 _NO_FEATURE = -1
@@ -73,14 +71,10 @@ class _TreeBuilder:
         max_depth: int,
         min_samples_leaf: int,
         min_samples_split: int,
-        max_features: "int | float | str | None",
-        rng: np.random.Generator,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.rng = rng
         self._nodes: list[list] = []  # [feature, threshold, left, right, value]
 
     # hooks -----------------------------------------------------------------
@@ -101,18 +95,6 @@ class _TreeBuilder:
         raise NotImplementedError
 
     # machinery ---------------------------------------------------------------
-    def _candidate_features(self, width: int) -> np.ndarray:
-        mf = self.max_features
-        if mf is None:
-            return np.arange(width)
-        if mf == "sqrt":
-            k = max(1, int(np.sqrt(width)))
-        elif isinstance(mf, float):
-            k = max(1, int(round(mf * width)))
-        else:
-            k = max(1, min(int(mf), width))
-        return self.rng.choice(width, size=k, replace=False)
-
     def build(self, x: np.ndarray, y: np.ndarray) -> _Tree:
         self._nodes = []
         self._grow(x, y, depth=0)
@@ -143,10 +125,8 @@ class _TreeBuilder:
         ):
             return self._make_leaf(y)
 
-        cand = self._candidate_features(x.shape[1])
-        xs = x[:, cand]
-        order = np.argsort(xs, axis=0, kind="stable")
-        sorted_x = np.take_along_axis(xs, order, axis=0)
+        order = np.argsort(x, axis=0, kind="stable")
+        sorted_x = np.take_along_axis(x, order, axis=0)
         left_imp, right_imp = self.split_impurities(self.sorted_stats(y, order), m)
 
         # Split after position i (left = rows [0..i]); position valid only
@@ -168,7 +148,7 @@ class _TreeBuilder:
         if parent_imp - weighted[pos, col] <= 1e-12:
             return self._make_leaf(y)
 
-        feature = int(cand[col])
+        feature = int(col)
         threshold = 0.5 * (sorted_x[pos, col] + sorted_x[pos + 1, col])
         go_left = x[:, feature] <= threshold
 
@@ -181,15 +161,15 @@ class _TreeBuilder:
         return idx
 
 
-#: Largest integer code eligible for the contingency-table split search.
-#: SNP matrices (codes 0/1/2) are the motivating case; the cap keeps the
-#: per-node table at ``width x arity x classes`` — tiny for real data.
+#: Largest integer code eligible for the group split search. SNP matrices
+#: (codes 0/1/2) are the motivating case; the cap keeps a level's count
+#: table at ``width x codes x nodes x classes`` — tiny for real data.
 _FAST_MAX_CODE = 15
 
 
 def _small_integer_codes(x: np.ndarray) -> "np.ndarray | None":
-    """``x`` as ``intp`` codes when it qualifies for the contingency-table
-    split search, else None."""
+    """``x`` as ``intp`` codes when it qualifies for the group split
+    search, else None."""
     if not x.size:
         return None
     xi = x.astype(np.intp)
@@ -203,124 +183,6 @@ class _ClassifierBuilder(_TreeBuilder):
         super().__init__(**kw)
         self.criterion = criterion
         self.classes = classes
-
-    def build(self, x: np.ndarray, y: np.ndarray) -> _Tree:
-        # Small-arity integer designs (SNP 0/1/2 codes) admit a much
-        # cheaper split search over per-node contingency tables. It is
-        # decision-equivalent to the dense sorted sweep in `_grow` — the
-        # cumulative class counts at every distinct-value boundary are the
-        # same integers, so every impurity float, threshold midpoint, and
-        # lexicographic tie-break comes out identical — but skips the
-        # per-node argsort and the (m-1, width, k) impurity arrays.
-        xi = _small_integer_codes(x)
-        if xi is not None:
-            codes = np.searchsorted(self.classes, y.astype(np.intp))
-            self._nodes = []
-            self._grow_categorical(x, xi, codes, depth=0, arity=int(xi.max()) + 1)
-            return self._assemble()
-        return super().build(x, y)
-
-    def _leaf_from_counts(self, counts: np.ndarray) -> int:
-        idx = len(self._nodes)
-        value = float(self.classes[int(np.argmax(counts))])
-        self._nodes.append([_NO_FEATURE, 0.0, -1, -1, value])
-        return idx
-
-    def _impurity_from_counts_positive(
-        self, counts: np.ndarray, totals: np.ndarray
-    ) -> np.ndarray:
-        """`_impurity_from_counts` when every total is known positive.
-
-        The categorical path only evaluates boundaries with nonempty
-        sides, so the 0/0 errstate guard and the NaN-tolerant reductions
-        of the general version are dead weight there. Same floats: the
-        divisions, ``log2`` inputs, and last-axis sums are element-for-
-        element the ops the general version performs.
-        """
-        p = counts / totals
-        if self.criterion == "gini":
-            return 1.0 - (p * p).sum(axis=-1)
-        logp = np.log2(p, out=np.zeros_like(p), where=p > 0)  # fraclint: disable=FRL003 -- where=p>0 masks the log and the out= zeros fill the guarded lanes; element-for-element the double-where idiom of _impurity_from_counts
-        return -(p * logp).sum(axis=-1)
-
-    def _grow_categorical(
-        self, x: np.ndarray, xi: np.ndarray, codes: np.ndarray, depth: int, arity: int
-    ) -> int:
-        m = len(codes)
-        k = len(self.classes)
-        counts_node = np.bincount(codes, minlength=k)
-        parent_imp = float(
-            self._impurity_from_counts_positive(counts_node, np.float64(m))
-        )
-        if (
-            depth >= self.max_depth
-            or m < self.min_samples_split
-            or m < 2 * self.min_samples_leaf
-            or parent_imp <= 1e-12
-        ):
-            return self._leaf_from_counts(counts_node)
-
-        cand = self._candidate_features(x.shape[1])
-        sub = xi if self.max_features is None else xi[:, cand]
-        width = sub.shape[1]
-        # table[w, v, c] = count of rows in this node with code v in column
-        # w and class c; one bincount replaces the dense argsort/cumsum.
-        flat = sub * k + codes[:, None] + np.arange(width) * (arity * k)
-        table = np.bincount(flat.ravel(), minlength=width * arity * k).reshape(
-            width, arity, k
-        )
-        cum = table.cumsum(axis=1)  # left-side class counts at boundary v
-        cum_n = cum.sum(axis=2)  # left-side sizes
-        cnt_v = table.sum(axis=2)  # rows per (column, value)
-
-        # A boundary after value v exists where v is present and rows
-        # remain on the right; the leaf-size floors mirror the dense
-        # `valid` mask exactly.
-        msl = self.min_samples_leaf
-        valid = (cnt_v > 0) & (cum_n < m) & (cum_n >= msl) & ((m - cum_n) >= msl)
-        if not valid.any():
-            return self._leaf_from_counts(counts_node)
-
-        ccol, vval = np.nonzero(valid)
-        lc = cum[ccol, vval]  # (q, k) integer class counts, left side
-        sz = cum_n[ccol, vval]  # (q,) left sizes — dense pos = sz - 1
-        left = self._impurity_from_counts_positive(
-            lc, sz[:, None].astype(np.float64)
-        )
-        right = self._impurity_from_counts_positive(
-            counts_node[None, :] - lc, (m - sz)[:, None].astype(np.float64)
-        )
-        weighted = (sz * left + (m - sz) * right) / m
-        best = weighted.min()
-        if not np.isfinite(best):
-            return self._leaf_from_counts(counts_node)
-        if parent_imp - best <= 1e-12:
-            return self._leaf_from_counts(counts_node)
-        # The dense argmin scans (pos, col) row-major, so ties break to the
-        # smallest flat index pos * width + col; replay that exactly.
-        tie = np.flatnonzero(weighted == best)
-        j = tie[np.argmin((sz[tie] - 1) * width + ccol[tie])]
-
-        col = int(ccol[j])
-        feature = int(cand[col])
-        v_lo = int(vval[j])
-        above = np.flatnonzero(cnt_v[col, v_lo + 1 :] > 0)
-        v_hi = v_lo + 1 + int(above[0])
-        threshold = 0.5 * (float(v_lo) + float(v_hi))
-        go_left = x[:, feature] <= threshold
-
-        idx = len(self._nodes)
-        self._nodes.append([feature, float(threshold), -1, -1, 0.0])
-        left_child = self._grow_categorical(
-            x[go_left], xi[go_left], codes[go_left], depth + 1, arity
-        )
-        not_left = ~go_left
-        right_child = self._grow_categorical(
-            x[not_left], xi[not_left], codes[not_left], depth + 1, arity
-        )
-        self._nodes[idx][2] = left_child
-        self._nodes[idx][3] = right_child
-        return idx
 
     def leaf_value(self, y: np.ndarray) -> float:
         counts = np.bincount(
@@ -385,7 +247,7 @@ class _GroupClasses:
 #: Rows below this bound keep the group build's float32 count products
 #: exact: every count is an integer no larger than the row count, and
 #: float32 holds every integer up to 2**24, whatever the BLAS summation
-#: order. Larger designs grow per feature (see ``BatchedTreeClassifier.accepts``).
+#: order. Larger designs take the dense sweep (see ``BatchedTreeClassifier.accepts``).
 _FLOAT32_EXACT_ROWS = 1 << 24
 
 #: numpy's float64 ``sum`` adds a row shorter than this left to right;
@@ -399,10 +261,11 @@ class _TermTable:
     ``term[t, c]`` is ``p * log2(p)`` (entropy) or ``p * p`` (gini) with
     ``p = c / t``, for every side size ``t <= n`` and count ``c <= t``,
     computed by the elementwise ops of
-    :meth:`_ClassifierBuilder._impurity_from_counts_positive`. Sides come
-    class-major: ``index[i, q] = t_q * stride + c_iq`` for side ``q`` of
-    size ``t_q`` and class counts ``c_iq``, and its impurity sums its
-    terms as that method's last-axis sum does.
+    :meth:`_ClassifierBuilder._impurity_from_counts`, which the dense sweep
+    applies to sides of positive size. Sides come class-major:
+    ``index[i, q] = t_q * stride + c_iq`` for side ``q`` of size ``t_q``
+    and class counts ``c_iq``, and its impurity sums its terms as that
+    method's last-axis sum does.
 
     Absent classes have term ``+0.0``, so a member with fewer classes than
     the group's widest pads its counts with zeros. numpy sums a row
@@ -437,7 +300,7 @@ class _TermTable:
     def _term(self, p: np.ndarray) -> np.ndarray:
         if self.criterion == "gini":
             return p * p
-        return p * np.log2(p, out=np.zeros_like(p), where=p > 0)  # fraclint: disable=FRL003 -- where=p>0 masks the log and the out= zeros fill the guarded lanes, as in _impurity_from_counts_positive
+        return p * np.log2(p, out=np.zeros_like(p), where=p > 0)  # fraclint: disable=FRL003 -- where=p>0 masks the log and the out= zeros fill the guarded lanes, element-for-element the double-where idiom of _impurity_from_counts
 
     def impurity(self, index: np.ndarray, owner: "np.ndarray | None" = None) -> np.ndarray:
         """Impurities of the sides at the class-major ``(C, q)`` ``index``;
@@ -469,8 +332,9 @@ class _TermTable:
 class _GroupClassifierBuilder(_ClassifierBuilder):
     """Grows the categorical trees of many targets together, level by level.
 
-    Every member's tree is the tree :meth:`_ClassifierBuilder.build` grows
-    on the member's own design (``np.array_equal`` on all five arrays):
+    Every member's tree is the tree the dense sweep
+    (:meth:`_ClassifierBuilder.build`) grows on the member's own design
+    (``np.array_equal`` on all five arrays):
 
     - one matrix product per level gives every active node of every
       member its left-side count table: ``L.T @ M.T``, with ``M`` the
@@ -478,11 +342,11 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
       ``L`` the indicator ``x[:, w] <= v`` of every (input, boundary). The
       counts are integers below :data:`_FLOAT32_EXACT_ROWS` in float32,
       so the product is exact whatever the BLAS blocking;
-    - impurities sum :class:`_TermTable` lookups, the floats
-      ``_grow_categorical`` computes;
+    - impurities sum :class:`_TermTable` lookups, the floats the dense
+      sweep computes at each boundary between distinct codes;
     - the valid-boundary mask, the per-node minimum, the gain floor and
-      the ``(pos, col)`` tie-break replay ``_grow_categorical``, with
-      ``col`` the position in the member's ``ids``, not the global column;
+      the ``(pos, col)`` tie-break replay the dense sweep's, with ``col``
+      the position in the member's ``ids``, not the global column;
     - :meth:`assemble` renumbers the level-order nodes into the DFS
       pre-order ``_Tree`` stores.
 
@@ -490,8 +354,7 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
     as rows reach leaves; rows outside the training rows are routed
     alongside, through the ``code <= threshold`` test ``_Tree.predict``
     applies, so every member's prediction at every row falls out of the
-    build. ``max_features`` trees draw their candidates from an RNG in DFS
-    order and stay on the per-feature builder.
+    build.
     """
 
     #: Count-table elements per matrix product; larger levels go in chunks
@@ -639,7 +502,7 @@ class _GroupClassifierBuilder(_ClassifierBuilder):
         member: np.ndarray,
         terms: _TermTable,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``_grow_categorical``'s split choice for every node of ``table``.
+        """The dense sweep's split choice for every node of ``table``.
 
         ``table[w * b + v, s * (C + 1) + c]`` counts node ``s``'s training
         rows of class ``c`` with code ``<= v`` in column ``w``, for ``b``
@@ -782,8 +645,6 @@ class _BaseTree:
         max_depth: int = 8,
         min_samples_leaf: int = 2,
         min_samples_split: int = 4,
-        max_features: "int | float | str | None" = None,
-        seed: int = 0,
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1; got {max_depth}")
@@ -792,8 +653,6 @@ class _BaseTree:
         self.max_depth = int(max_depth)
         self.min_samples_leaf = int(min_samples_leaf)
         self.min_samples_split = int(min_samples_split)
-        self.max_features = max_features
-        self.seed = seed
         self.tree_: "_Tree | None" = None
 
     def _reset(self) -> None:
@@ -804,8 +663,6 @@ class _BaseTree:
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
             min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-            rng=as_generator(self.seed),
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -829,27 +686,32 @@ class _BaseTree:
 class DecisionTreeClassifier(_BaseTree, Classifier):
     """CART classification tree (gini or entropy criterion)."""
 
-    def __init__(self, criterion: str = "entropy", **kw) -> None:
-        super().__init__(**kw)
+    def __init__(
+        self,
+        criterion: str = "entropy",
+        max_depth: int = 8,
+        min_samples_leaf: int = 2,
+        min_samples_split: int = 4,
+    ) -> None:
+        super().__init__(max_depth, min_samples_leaf, min_samples_split)
         if criterion not in ("gini", "entropy"):
             raise ValueError(f"criterion must be 'gini' or 'entropy'; got {criterion!r}")
         self.criterion = criterion
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         x, y = self._validate_xy(x, y)
-        self._n_features_in = x.shape[1]
-        classes = np.unique(y.astype(np.intp))
-        if x.shape[1] == 0:
-            builder = _ClassifierBuilder(self.criterion, classes, **self._builder_kwargs())
-            self.tree_ = _Tree(
-                feature=np.array([_NO_FEATURE], dtype=np.intp),
-                threshold=np.zeros(1),
-                left=np.array([-1], dtype=np.intp),
-                right=np.array([-1], dtype=np.intp),
-                value=np.array([builder.leaf_value(y)]),
-            )
+        n, d = x.shape
+        self._n_features_in = d
+        if BatchedTreeClassifier.accepts(x):
+            # A group of one: the dense sweep's tree, grown from count tables.
+            group = _GroupClassifierBuilder(self.criterion, **self._builder_kwargs())
+            _, levels = group.grow(x.astype(np.intp), y[None], np.arange(d)[None], np.arange(n))
+            self.tree_ = group.assemble(levels, 1)[0]
             return self
-        builder = _ClassifierBuilder(self.criterion, classes, **self._builder_kwargs())
+        # With no inputs (d = 0) the sweep finds no boundary: one leaf.
+        builder = _ClassifierBuilder(
+            self.criterion, np.unique(y.astype(np.intp)), **self._builder_kwargs()
+        )
         self.tree_ = builder.build(x, y)
         return self
 
@@ -861,34 +723,22 @@ class BatchedTreeClassifier:
     trees of many targets that share their rows at once (see
     :class:`_GroupClassifierBuilder`); each is ``np.array_equal`` to what
     ``DecisionTreeClassifier(**params).fit`` grows on the member's own
-    design. Three cases stay per feature, and :meth:`accepts` says which:
-    ``max_features`` trees, whose candidate draws follow the per-tree RNG
-    in DFS order, designs that are not small non-negative integer codes,
-    which take the dense sorted search, and designs of
-    :data:`_FLOAT32_EXACT_ROWS` rows or more, whose float32 count
-    products could round.
+    design. :meth:`accepts` says which designs grow this way; the rest
+    take the dense sorted sweep: designs that are not small non-negative
+    integer codes, and designs of :data:`_FLOAT32_EXACT_ROWS` rows or
+    more, whose float32 count products could round.
     """
 
     def __init__(self, criterion: str = "entropy", **kw) -> None:
         # The per-feature twin validates the parameters, with its errors.
         template = DecisionTreeClassifier(criterion=criterion, **kw)
-        if kw.get("max_features") is not None:
-            raise ValueError("max_features trees draw per-tree candidates; fit them per feature")
-        self._builder = _GroupClassifierBuilder(
-            criterion,
-            max_depth=template.max_depth,
-            min_samples_leaf=template.min_samples_leaf,
-            min_samples_split=template.min_samples_split,
-            max_features=None,
-            rng=None,
-        )
+        self._builder = _GroupClassifierBuilder(criterion, **template._builder_kwargs())
 
     @staticmethod
-    def accepts(params: "Mapping[str, object]", x: np.ndarray) -> bool:
-        """Whether trees with constructor ``params`` grow in groups on design ``x``."""
+    def accepts(x: np.ndarray) -> bool:
+        """Whether trees grow in groups (or as a group of one) on design ``x``."""
         return (
-            params.get("max_features") is None
-            and len(x) < _FLOAT32_EXACT_ROWS
+            len(x) < _FLOAT32_EXACT_ROWS
             and _small_integer_codes(np.asarray(x, dtype=np.float64)) is not None
         )
 

@@ -47,8 +47,8 @@ BATCHED_REGRESSORS: dict[str, Callable[..., BatchedLearner]] = {
 #: ``BATCHED_REGRESSORS``: same registry name and constructor parameters
 #: as the per-feature classifier, fitted trees bitwise equal to it
 #: (tests/learners/test_batched_tree.py, tests/core/test_batched_equivalence.py).
-#: The engine's planner asks the class's ``accepts(params, design)``
-#: whether a target group grows this way.
+#: The engine's planner asks the class's ``accepts(design)`` whether a
+#: target group grows this way.
 BATCHED_CLASSIFIERS: dict[str, type[BatchedTreeClassifier]] = {
     "tree": BatchedTreeClassifier,
 }

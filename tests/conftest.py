@@ -17,7 +17,7 @@ from repro.data.synthetic import (
     make_expression_dataset,
     make_snp_dataset,
 )
-from repro.learners import registry
+from repro.learners import decision_tree, registry
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -47,7 +47,8 @@ def per_feature_path(monkeypatch):
     Inside the block neither ``"ridge"`` nor ``"tree"`` has a batched
     counterpart, so the engine trains every feature through
     ``run_feature_task`` — the reference side of the byte-equivalence
-    suites. Outside it the batched path runs.
+    suites — and every tree takes the dense sorted sweep, the split search
+    independent of the group builder. Outside it the batched path runs.
     """
 
     @contextlib.contextmanager
@@ -55,6 +56,7 @@ def per_feature_path(monkeypatch):
         with monkeypatch.context() as patch:
             patch.delitem(registry.BATCHED_REGRESSORS, "ridge")
             patch.delitem(registry.BATCHED_CLASSIFIERS, "tree")
+            patch.setattr(decision_tree, "_FAST_MAX_CODE", -1)  # no code qualifies
             yield
 
     return force

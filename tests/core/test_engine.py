@@ -16,6 +16,12 @@ from repro.core.engine import (
 from repro.core.types import FeatureModel
 from repro.data.schema import FeatureSchema
 from repro.errormodels.gaussian import GaussianErrorModel
+from repro.learners import registry
+from repro.learners.decision_tree import (
+    BatchedTreeClassifier,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+)
 from repro.parallel.executor import run_tasks
 from repro.utils.exceptions import DataError
 
@@ -99,9 +105,33 @@ class TestMakePredictor:
         model = _make_predictor("linear_svr", {}, 1234)
         assert model.seed == 1234
 
-    def test_seed_injected_through_var_keyword(self):
+    def test_seed_injected_through_var_keyword(self, monkeypatch):
+        class VarKeywordLearner:
+            def __init__(self, **kw):
+                self.params = kw
+
+        monkeypatch.setitem(registry.CLASSIFIERS, "var_keyword_learner", VarKeywordLearner)
+        model = _make_predictor("var_keyword_learner", {"max_depth": 3}, 77)
+        assert model.params == {"max_depth": 3, "seed": 77}
+
+    def test_tree_constructed_without_seed(self):
         model = _make_predictor("tree", {"max_depth": 3}, 77)
-        assert model.seed == 77
+        assert model.max_depth == 3
+        assert not hasattr(model, "seed")
+
+    @pytest.mark.parametrize(
+        ("ctor", "option"),
+        [
+            (DecisionTreeClassifier, {"seed": 0}),
+            (DecisionTreeClassifier, {"max_features": 3}),
+            (BatchedTreeClassifier, {"max_features": 3}),
+            (DecisionTreeRegressor, {"seed": 0}),
+            (DecisionTreeRegressor, {"max_features": 3}),
+        ],
+    )
+    def test_trees_reject_retired_options(self, ctor, option):
+        with pytest.raises(TypeError):
+            ctor(**option)
 
     def test_seedless_learner_constructed_without_seed(self):
         model = _make_predictor("ridge", {"alpha": 2.0}, 99)

@@ -1,12 +1,13 @@
-"""BatchedTreeClassifier vs DecisionTreeClassifier: tree-for-tree equality.
+"""BatchedTreeClassifier vs the dense sorted sweep: tree-for-tree equality.
 
 ``BatchedTreeClassifier(**p).fit_group(x, ys, ids, train=t, models=ms)``
 grows every member's tree level by level for the whole group; the
 contract (see :class:`repro.learners.decision_tree._GroupClassifierBuilder`)
-is that ``ms[j].tree_`` equals ``DecisionTreeClassifier(**p).fit(
-x[t][:, ids[j]], ys[j, t]).tree_`` on all five arrays (``np.array_equal``,
-same dtypes), and that the returned predictions equal that tree's
-``predict`` at every row of ``x`` — the holdout rows included.
+is that ``ms[j].tree_`` equals the tree the dense sweep grows on
+``x[t][:, ids[j]]`` and ``ys[j, t]`` (``_ClassifierBuilder.build``, the
+oracle of ``dense_tree``) on all five arrays (``np.array_equal``, same
+dtypes), and that the returned predictions equal that tree's ``predict``
+at every row of ``x`` — the holdout rows included.
 """
 
 import numpy as np
@@ -22,21 +23,20 @@ from repro.learners.decision_tree import (
     _TermTable,
 )
 from repro.learners.registry import BATCHED_CLASSIFIERS
-
-FIELDS = ("feature", "threshold", "left", "right", "value")
+from tests.learners.test_decision_tree import FIELDS, dense_tree
 
 
 def assert_group_matches(x, ys, ids, params, train=None):
-    """Group-fit every member and compare with its per-feature fit."""
+    """Group-fit every member and compare with the dense sweep's tree."""
     train = np.arange(len(x)) if train is None else np.asarray(train)
     models = [DecisionTreeClassifier(**params) for _ in ids]
     preds = BatchedTreeClassifier(**params).fit_group(x, ys, ids, train=train, models=models)
     assert preds.shape == (len(ids), len(x))
     for j, member_ids in enumerate(ids):
-        ref = DecisionTreeClassifier(**params).fit(x[np.ix_(train, member_ids)], ys[j, train])
+        ref = dense_tree(x[np.ix_(train, member_ids)], ys[j, train], **params)
         got = models[j]
         for field in FIELDS:
-            a, b = getattr(got.tree_, field), getattr(ref.tree_, field)
+            a, b = getattr(got.tree_, field), getattr(ref, field)
             assert a.dtype == b.dtype, (j, field)
             assert np.array_equal(a, b), (j, field, params)
         assert got.n_nodes == ref.n_nodes
@@ -88,7 +88,7 @@ class TestTreeForTree:
         assert_group_matches(x, ys, ids, dict(max_depth=5, min_samples_leaf=1))
 
     def test_codes_up_to_the_table_cap(self):
-        # Codes 0..15 are the largest the contingency-table search takes.
+        # Codes 0..15 are the largest the group search takes.
         rng = np.random.default_rng(16)
         x, ys = snp_group(rng, 120, 6, 4, 16, n_classes=11)
         assert_group_matches(x, ys, [np.arange(6)] * 4, dict(max_depth=8, min_samples_leaf=1))
@@ -205,19 +205,13 @@ class TestTreeForTree:
 
 
 def per_side_impurities(criterion, counts, n_classes):
-    """``_impurity_from_counts_positive`` on each side's own classes."""
+    """The dense sweep's ``_impurity_from_counts`` on each side's own classes."""
     builder = _ClassifierBuilder(
-        criterion,
-        np.empty(0),
-        max_depth=1,
-        min_samples_leaf=1,
-        min_samples_split=2,
-        max_features=None,
-        rng=None,
+        criterion, np.empty(0), max_depth=1, min_samples_leaf=1, min_samples_split=2
     )
     return np.array(
         [
-            builder._impurity_from_counts_positive(
+            builder._impurity_from_counts(
                 side[:k][None, :], np.array([[float(side.sum())]])
             )[0]
             for side, k in zip(counts, n_classes)
@@ -226,7 +220,7 @@ def per_side_impurities(criterion, counts, n_classes):
 
 
 class TestTermTable:
-    """Table impurities against the per-feature oracle, bit for bit."""
+    """Table impurities against the dense sweep's, bit for bit."""
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     @pytest.mark.parametrize("max_entries", [_TermTable.MAX_ENTRIES, 0])
@@ -303,10 +297,10 @@ class TestContract:
         x = np.full((10, 2), 0.5)
         with pytest.raises(ValueError, match="integer codes"):
             BatchedTreeClassifier().fit_group(x, np.zeros((1, 10)), [np.arange(2)])
-        assert not BatchedTreeClassifier.accepts({}, x)
-        assert not BatchedTreeClassifier.accepts({}, np.full((4, 2), 16.0))
-        assert not BatchedTreeClassifier.accepts({}, np.full((4, 2), -1.0))
-        assert BatchedTreeClassifier.accepts({}, np.full((4, 2), 15.0))
+        assert not BatchedTreeClassifier.accepts(x)
+        assert not BatchedTreeClassifier.accepts(np.full((4, 2), 16.0))
+        assert not BatchedTreeClassifier.accepts(np.full((4, 2), -1.0))
+        assert BatchedTreeClassifier.accepts(np.full((4, 2), 15.0))
 
     def test_rejects_non_finite_targets(self):
         ys = np.zeros((1, 10))
@@ -322,15 +316,11 @@ class TestContract:
 
     def test_registry(self):
         assert BATCHED_CLASSIFIERS == {"tree": BatchedTreeClassifier}
-        codes = np.zeros((4, 2))
-        assert BatchedTreeClassifier.accepts({"max_depth": 6}, codes)
-        assert not BatchedTreeClassifier.accepts({"max_features": "sqrt"}, codes)
-        with pytest.raises(ValueError, match="max_features"):
-            BatchedTreeClassifier(max_features="sqrt")
+        assert BatchedTreeClassifier.accepts(np.zeros((4, 2)))
 
 
 class TestFloat32RowBound:
-    """Designs at the float32 exactness bound grow per feature."""
+    """Designs at the float32 exactness bound grow per feature, by the dense sweep."""
 
     CONFIG = FRaCConfig(
         regressor="ridge", classifier="tree", classifier_params={"max_depth": 4}, n_folds=3
@@ -338,8 +328,8 @@ class TestFloat32RowBound:
 
     def test_accepts_stops_at_the_bound(self, monkeypatch):
         monkeypatch.setattr(decision_tree, "_FLOAT32_EXACT_ROWS", 10)
-        assert BatchedTreeClassifier.accepts({}, np.zeros((9, 2)))
-        assert not BatchedTreeClassifier.accepts({}, np.zeros((10, 2)))
+        assert BatchedTreeClassifier.accepts(np.zeros((9, 2)))
+        assert not BatchedTreeClassifier.accepts(np.zeros((10, 2)))
         with pytest.raises(ValueError, match="fewer than 10"):
             BatchedTreeClassifier().fit_group(np.zeros((10, 2)), np.zeros((1, 10)), [np.arange(2)])
 
@@ -365,43 +355,3 @@ class TestFloat32RowBound:
                 )
         np.testing.assert_array_equal(bounded.score(rep.x_test), reference.score(rep.x_test))
 
-
-class TestMaxFeaturesStaysPerFeature:
-    """``max_features`` trees draw candidates from a per-tree RNG in DFS
-    order; they must route per feature with their trees unchanged."""
-
-    CONFIG = FRaCConfig(
-        regressor="ridge",
-        classifier="tree",
-        classifier_params={"max_depth": 4, "max_features": "sqrt"},
-        n_folds=3,
-    )
-
-    def test_batched_learner_refuses(self):
-        with pytest.raises(ValueError, match="max_features"):
-            BatchedTreeClassifier(max_features="sqrt")
-
-    def test_planner_passes_them_through(self, snp_replicate):
-        x = snp_replicate.x_train
-        tasks = [
-            FeatureTask(feature_id=j, input_ids=np.delete(np.arange(x.shape[1]), j), seed=j)
-            for j in range(x.shape[1])
-        ]
-        shared = SharedTrainState(
-            x_imputed=x, x_targets=x, schema=snp_replicate.schema, config=self.CONFIG
-        )
-        batches, passthrough = plan_feature_batches(tasks, shared)
-        assert batches == [] and passthrough == list(range(len(tasks)))
-
-    def test_trees_unchanged(self, snp_replicate, per_feature_path):
-        rep = snp_replicate
-        default = FRaC(self.CONFIG, rng=4).fit(rep.x_train, rep.schema)
-        with per_feature_path():
-            reference = FRaC(self.CONFIG, rng=4).fit(rep.x_train, rep.schema)
-        for a, b in zip(default.models_, reference.models_):
-            assert a.predictor.seed == b.predictor.seed
-            for field in FIELDS:
-                assert np.array_equal(
-                    getattr(a.predictor.tree_, field), getattr(b.predictor.tree_, field)
-                )
-        np.testing.assert_array_equal(default.score(rep.x_test), reference.score(rep.x_test))

@@ -4,8 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.learners.decision_tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.learners import decision_tree as dt
+from repro.learners.decision_tree import (
+    BatchedTreeClassifier,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    _ClassifierBuilder,
+)
 from repro.utils.exceptions import NotFittedError
+
+FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def dense_tree(x, y, criterion="entropy", **params):
+    """The dense sorted sweep's tree: the oracle every tree test compares with."""
+    kw = DecisionTreeClassifier(criterion, **params)._builder_kwargs()
+    builder = _ClassifierBuilder(criterion, np.unique(np.asarray(y).astype(np.intp)), **kw)
+    return builder.build(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+
+
+def assert_same_tree(fitted, tree):
+    """All five arrays of ``fitted.tree_`` equal ``tree``'s, dtypes included."""
+    for field in FIELDS:
+        a, b = getattr(fitted.tree_, field), getattr(tree, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
 
 
 class TestClassifier:
@@ -57,13 +80,6 @@ class TestClassifier:
         # With a 10-sample floor on 30 samples, at most 2 levels of splits.
         assert m.n_nodes <= 7
 
-    def test_max_features_subsampling(self):
-        gen = np.random.default_rng(5)
-        x = gen.standard_normal((60, 10))
-        y = (x[:, 0] > 0).astype(float)
-        m = DecisionTreeClassifier(max_features=3, seed=1).fit(x, y)
-        assert m.n_nodes >= 1  # just must not crash; feature 0 may be missed
-
     def test_zero_features(self):
         m = DecisionTreeClassifier().fit(np.zeros((6, 0)), np.array([0, 0, 1, 1, 1, 1.0]))
         np.testing.assert_array_equal(m.predict(np.zeros((2, 0))), 1.0)
@@ -85,8 +101,8 @@ class TestClassifier:
         gen = np.random.default_rng(6)
         x = gen.standard_normal((50, 4))
         y = (x[:, 2] > 0).astype(float)
-        a = DecisionTreeClassifier(seed=0).fit(x, y).predict(x)
-        b = DecisionTreeClassifier(seed=0).fit(x, y).predict(x)
+        a = DecisionTreeClassifier().fit(x, y).predict(x)
+        b = DecisionTreeClassifier().fit(x, y).predict(x)
         np.testing.assert_array_equal(a, b)
 
     def test_model_nbytes_grows(self):
@@ -163,32 +179,18 @@ class TestClassifierProperties:
         gen = np.random.default_rng(5)
         x = gen.standard_normal((60, 3))
         y = (x[:, 1] > 0).astype(float)
-        base = DecisionTreeClassifier(max_depth=3, seed=0).fit(x, y).predict(x)
-        moved = DecisionTreeClassifier(max_depth=3, seed=0).fit(x + shift, y).predict(x + shift)
+        base = DecisionTreeClassifier(max_depth=3).fit(x, y).predict(x)
+        moved = DecisionTreeClassifier(max_depth=3).fit(x + shift, y).predict(x + shift)
         np.testing.assert_array_equal(base, moved)
 
 
 class TestCategoricalFastPath:
-    """The contingency-table split search for small-integer designs must be
-    decision-equivalent to the dense sorted sweep: identical trees (arrays,
-    not just predictions), including under max_features subsampling."""
-
-    @staticmethod
-    def _dense_fit(monkeypatch, clf, x, y):
-        from repro.learners import decision_tree as dt
-
-        monkeypatch.setattr(dt, "_FAST_MAX_CODE", -1)  # force the dense sweep
-        return clf.fit(x, y)
-
-    def _assert_same_tree(self, fast, dense):
-        np.testing.assert_array_equal(fast.tree_.feature, dense.tree_.feature)
-        np.testing.assert_array_equal(fast.tree_.threshold, dense.tree_.threshold)
-        np.testing.assert_array_equal(fast.tree_.left, dense.tree_.left)
-        np.testing.assert_array_equal(fast.tree_.right, dense.tree_.right)
-        np.testing.assert_array_equal(fast.tree_.value, dense.tree_.value)
+    """Small-integer designs grow as a group of one, and must build the
+    tree the dense sorted sweep builds: identical arrays, not just
+    predictions."""
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
-    def test_random_snp_designs_build_identical_trees(self, monkeypatch, criterion):
+    def test_random_snp_designs_build_identical_trees(self, criterion):
         rng = np.random.default_rng(0)
         for trial in range(25):
             n = int(rng.integers(6, 60))
@@ -201,39 +203,82 @@ class TestCategoricalFastPath:
                 max_depth=int(rng.integers(1, 6)),
                 min_samples_leaf=int(rng.integers(1, 3)),
             )
-            fast = DecisionTreeClassifier(**params).fit(x, y)
-            with pytest.MonkeyPatch.context() as mp:
-                dense = self._dense_fit(mp, DecisionTreeClassifier(**params), x, y)
-            self._assert_same_tree(fast, dense)
-
-    def test_max_features_consumes_rng_identically(self, monkeypatch):
-        # The fast path must draw candidate features from the same stream
-        # positions as the dense path, or seeded runs diverge.
-        rng = np.random.default_rng(1)
-        x = rng.integers(0, 3, size=(40, 6)).astype(np.float64)
-        y = rng.integers(0, 3, size=40).astype(np.float64)
-        params = dict(max_depth=5, max_features=3, seed=7)
-        fast = DecisionTreeClassifier(**params).fit(x, y)
-        with pytest.MonkeyPatch.context() as mp:
-            dense = self._dense_fit(mp, DecisionTreeClassifier(**params), x, y)
-        self._assert_same_tree(fast, dense)
+            assert_same_tree(DecisionTreeClassifier(**params).fit(x, y), dense_tree(x, y, **params))
 
     def test_non_integer_design_takes_the_dense_path(self):
         # Real-valued x must not trip the integer gate; the fit must still
-        # work (this is the reference path the fast path defers to).
+        # work (this is the reference path the group builder defers to).
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 3))
         y = (x[:, 0] > 0).astype(np.float64)
         clf = DecisionTreeClassifier(max_depth=3).fit(x, y)
         assert (clf.predict(x) == y).mean() > 0.9
+        assert_same_tree(clf, dense_tree(x, y, max_depth=3))
 
-    def test_codes_above_cap_take_the_dense_path(self, monkeypatch):
-        from repro.learners import decision_tree as dt
-
+    def test_codes_above_cap_take_the_dense_path(self):
         rng = np.random.default_rng(3)
         x = rng.integers(0, dt._FAST_MAX_CODE + 5, size=(50, 2)).astype(np.float64)
         y = rng.integers(0, 2, size=50).astype(np.float64)
-        fast_gate = DecisionTreeClassifier(max_depth=4).fit(x, y)
-        with pytest.MonkeyPatch.context() as mp:
-            dense = self._dense_fit(mp, DecisionTreeClassifier(max_depth=4), x, y)
-        self._assert_same_tree(fast_gate, dense)
+        assert not BatchedTreeClassifier.accepts(x)
+        fitted = DecisionTreeClassifier(max_depth=4).fit(x, y)
+        assert_same_tree(fitted, dense_tree(x, y, max_depth=4))
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("max_depth", range(1, 9))
+    def test_random_integer_designs(self, criterion, max_depth):
+        rng = np.random.default_rng(100 * max_depth + len(criterion))
+        for _ in range(12):
+            n = int(rng.integers(1, 80))
+            d = int(rng.integers(0, 9))
+            top = int(rng.integers(1, dt._FAST_MAX_CODE + 1))
+            x = rng.integers(0, top + 1, size=(n, d)).astype(np.float64)
+            if d >= 3:
+                x[:, 0] = x[0, 0]  # a constant column
+                x[:, 2] = x[:, 1]  # a repeated input column
+            y = rng.integers(0, int(rng.integers(1, 13)), size=n).astype(np.float64)
+            if rng.random() < 0.3 and d:
+                y = x[:, d - 1].copy()
+            params = dict(
+                criterion=criterion,
+                max_depth=max_depth,
+                min_samples_leaf=int(rng.integers(1, 6)),
+                min_samples_split=int(rng.integers(2, 12)),
+            )
+            assert_same_tree(DecisionTreeClassifier(**params).fit(x, y), dense_tree(x, y, **params))
+
+    def test_codes_at_the_cap_and_twelve_classes(self):
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, dt._FAST_MAX_CODE + 1, size=(150, 5)).astype(np.float64)
+        x[:16, 0] = np.arange(16)
+        y = rng.integers(0, 12, size=150).astype(np.float64)
+        y[:12] = np.arange(12)
+        for criterion in ("gini", "entropy"):
+            params = dict(criterion=criterion, max_depth=8, min_samples_leaf=1, min_samples_split=2)
+            assert_same_tree(DecisionTreeClassifier(**params).fit(x, y), dense_tree(x, y, **params))
+
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_single_class_target_is_one_leaf(self, d):
+        x = np.random.default_rng(d).integers(0, 3, size=(20, d)).astype(np.float64)
+        y = np.full(20, 2.0)
+        fitted = DecisionTreeClassifier().fit(x, y)
+        assert fitted.n_nodes == 1
+        assert_same_tree(fitted, dense_tree(x, y))
+
+    def test_no_inputs(self):
+        y = np.random.default_rng(8).integers(0, 3, size=25).astype(np.float64)
+        x = np.zeros((25, 0))
+        assert_same_tree(DecisionTreeClassifier().fit(x, y), dense_tree(x, y))
+
+    def test_designs_at_the_row_bound_take_the_dense_sweep(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
+        y = rng.integers(0, 3, size=40).astype(np.float64)
+        monkeypatch.setattr(dt, "_FLOAT32_EXACT_ROWS", 40)
+
+        def no_group(*args, **kw):
+            raise AssertionError("the group builder ran at the row bound")
+
+        monkeypatch.setattr(dt._GroupClassifierBuilder, "grow", no_group)
+        fitted = DecisionTreeClassifier(max_depth=5).fit(x, y)
+        assert_same_tree(fitted, dense_tree(x, y, max_depth=5))
+

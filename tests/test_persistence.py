@@ -1,5 +1,7 @@
 """Tests for detector persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,39 @@ class TestSaveLoad:
         save_detector(frac, p)
         loaded, _ = load_detector(p, expected_schema=rep.schema)
         assert loaded is not None
+
+
+class TestSavedDetectorsStillLoad:
+    FIXTURES = Path(__file__).parent / "fixtures"
+
+    def test_trees_with_retired_options_score_identically(self, snp_replicate):
+        """A detector saved at commit 3db2ab8, whose trees still carry the
+        since-retired ``max_features`` and ``seed`` attributes, loads and
+        scores the NS values it scored when it was saved.
+
+        Both files were written at that commit, from the repository root::
+
+            PYTHONPATH=src python - <<'EOF'
+            import numpy as np
+            from repro import FRaC, FRaCConfig
+            from repro.data.replicates import make_replicate
+            from repro.data.synthetic import SNPConfig, make_snp_dataset
+            from repro.persistence import save_detector
+            cfg = SNPConfig(n_features=48, n_normal=60, n_anomaly=20, block_size=6,
+                            n_haplotypes=4, relevant_blocks=5, name="snp-test")
+            rep = make_replicate(make_snp_dataset(cfg, rng=11), rng=5)
+            frac = FRaC(FRaCConfig.fast(), rng=0).fit(rep.x_train, rep.schema)
+            save_detector(frac, "tests/fixtures/tree_detector_v1.pkl", schema=rep.schema)
+            np.save("tests/fixtures/tree_detector_v1_scores.npy", frac.score(rep.x_test))
+            EOF
+
+        ``snp_replicate`` is the same replicate.
+        """
+        rep = snp_replicate
+        loaded, _ = load_detector(
+            self.FIXTURES / "tree_detector_v1.pkl", expected_schema=rep.schema
+        )
+        tree = loaded.models_[0].predictor
+        assert tree.seed is not None and tree.max_features is None
+        expected = np.load(self.FIXTURES / "tree_detector_v1_scores.npy")
+        assert np.array_equal(loaded.score(rep.x_test), expected)
