@@ -19,7 +19,7 @@ from conftest import capture_trace, condense_trace, emit, emit_json
 
 from repro.data.compendium import COMPENDIUM
 from repro.experiments import render_table, table2
-from repro.learners.registry import BATCHED_CLASSIFIERS, supports_batching
+from repro.learners.registry import BATCHED_CLASSIFIERS, BATCHED_REGRESSORS
 from repro.parallel import profiling
 from repro.telemetry.trace import read_trace, summarize_trace
 
@@ -47,7 +47,7 @@ def bench_table2(benchmark, settings, results_dir):
     # together, so one label covers both halves of the rewrite; the
     # autism row's trees grow in groups too when the SNP classifier has a
     # group counterpart.
-    if not supports_batching(expr.regressor):
+    if expr.regressor not in BATCHED_REGRESSORS:
         label = f"per-feature-{expr.regressor}"
     # Genotype designs are small integer codes, so the planner groups the
     # SNP classifier's trees whenever it has a group counterpart.

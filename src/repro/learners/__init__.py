@@ -1,7 +1,7 @@
 """Learner substrate: from-scratch SVMs, CART trees, ridge, and dummies."""
 
 from repro.learners.base import BaseLearner, Classifier, Regressor
-from repro.learners.batched import BatchedLearner, BatchedRidge, ColumnSolver
+from repro.learners.batched import BatchedRidge
 from repro.learners.decision_tree import (
     BatchedTreeClassifier,
     DecisionTreeClassifier,
@@ -16,9 +16,7 @@ from repro.learners.registry import (
     BATCHED_REGRESSORS,
     CLASSIFIERS,
     REGRESSORS,
-    make_batched_learner,
     make_learner,
-    supports_batching,
 )
 from repro.learners.ridge import RidgeRegressor
 
@@ -26,10 +24,8 @@ __all__ = [
     "BaseLearner",
     "Regressor",
     "Classifier",
-    "BatchedLearner",
     "BatchedRidge",
     "BatchedTreeClassifier",
-    "ColumnSolver",
     "LinearSVR",
     "LinearSVC",
     "RidgeRegressor",
@@ -45,6 +41,4 @@ __all__ = [
     "BATCHED_REGRESSORS",
     "BATCHED_CLASSIFIERS",
     "make_learner",
-    "make_batched_learner",
-    "supports_batching",
 ]

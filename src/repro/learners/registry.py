@@ -12,7 +12,7 @@ import inspect
 from typing import Callable
 
 from repro.learners.base import BaseLearner, Classifier, Regressor
-from repro.learners.batched import BatchedLearner, BatchedRidge
+from repro.learners.batched import BatchedRidge
 from repro.learners.decision_tree import (
     BatchedTreeClassifier,
     DecisionTreeClassifier,
@@ -32,14 +32,16 @@ REGRESSORS: dict[str, Callable[..., Regressor]] = {
     "mean": MeanRegressor,
 }
 
-#: Regressors with a batched (multi-target, shared-factorization)
-#: counterpart, keyed by the *same* registry name as the per-feature
-#: learner so one config string selects both paths. The batched class
+#: Regressors with a group counterpart, keyed by the *same* registry name
+#: as the per-feature learner so one config string selects both. The
+#: engine trains every target of such a regressor through the group class
+#: (:func:`repro.core.engine.run_feature_batch`, alone or in a group),
+#: without a per-task seed, so it must be deterministic without one. It
 #: must accept the identical constructor parameters and produce fitted
-#: per-feature learners bitwise equal to ``REGRESSORS[name]`` — the
-#: engine's equivalence suite (tests/core/test_batched_equivalence.py)
-#: enforces this for every entry.
-BATCHED_REGRESSORS: dict[str, Callable[..., BatchedLearner]] = {
+#: per-feature learners bitwise equal to ``REGRESSORS[name]``'s — the
+#: reference the equivalence suites (tests/learners/test_batched_ridge.py,
+#: tests/core/test_batched_equivalence.py) compare every entry against.
+BATCHED_REGRESSORS: dict[str, type[BatchedRidge]] = {
     "ridge": BatchedRidge,
 }
 
@@ -47,8 +49,8 @@ BATCHED_REGRESSORS: dict[str, Callable[..., BatchedLearner]] = {
 #: ``BATCHED_REGRESSORS``: same registry name and constructor parameters
 #: as the per-feature classifier, fitted trees bitwise equal to it
 #: (tests/learners/test_batched_tree.py, tests/core/test_batched_equivalence.py).
-#: The engine's planner asks the class's ``accepts(design)`` whether a
-#: target group grows this way.
+#: The engine asks the class's ``accepts(design)`` whether a target group
+#: grows this way.
 BATCHED_CLASSIFIERS: dict[str, type[BatchedTreeClassifier]] = {
     "tree": BatchedTreeClassifier,
 }
@@ -107,25 +109,3 @@ def make_learner(name: str, **kwargs) -> BaseLearner:
     """Instantiate a learner by registry name, forwarding hyper-parameters."""
     return learner_constructor(name)(**kwargs)
 
-
-def supports_batching(name: str) -> bool:
-    """Whether regressor ``name`` advertises a batched implementation."""
-    return name in BATCHED_REGRESSORS
-
-
-def make_batched_learner(name: str, **kwargs) -> BatchedLearner:
-    """Instantiate the batched counterpart of regressor ``name``.
-
-    ``kwargs`` are the per-feature learner's hyper-parameters verbatim —
-    batched classes mirror their scalar twin's constructor signature, so a
-    parameter the scalar learner would reject raises the same TypeError
-    here instead of silently diverging between the two paths.
-    """
-    try:
-        ctor = BATCHED_REGRESSORS[name]
-    except KeyError:
-        raise ValueError(
-            f"regressor {name!r} has no batched implementation; "
-            f"available: {sorted(BATCHED_REGRESSORS)}"
-        ) from None
-    return ctor(**kwargs)

@@ -8,10 +8,15 @@ execution instead of taking its members down with it. The per-feature
 side runs under the ``per_feature_path`` fixture.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import FRaC, FRaCConfig, load_replicates
+from repro.core import engine
+from repro.data.schema import FeatureKind, FeatureSchema, FeatureSpec
+from repro.learners.ridge import RidgeRegressor
 from repro.parallel import (
     CheckpointJournal,
     ExecutionConfig,
@@ -132,11 +137,17 @@ class TestBatchedResume:
         )
 
 
-class _ExplodingBatchedRidge:
-    """A batched learner whose shared solvers always fail."""
+_run_feature_batch = engine.run_feature_batch
 
-    def masked_solver(self, x, *, check=True):
+
+def _fail_group_batches(batch):
+    """``run_feature_batch``, except that every batch of more than one
+    member fails; a batch of one (a decomposed member through
+    ``run_feature_task``) still trains. Module level, so process-mode
+    workers can unpickle it."""
+    if len(batch.tasks) > 1:
         raise RuntimeError("injected batch failure")
+    return _run_feature_batch(batch)
 
 
 class TestBatchFailureDecomposition:
@@ -144,10 +155,7 @@ class TestBatchFailureDecomposition:
         """When every batch fails, members fall back to per-feature
         execution and the fit still matches a clean run bit for bit."""
         clean = _fit(rep)
-        monkeypatch.setattr(
-            "repro.core.engine.make_batched_learner",
-            lambda name, **kwargs: _ExplodingBatchedRidge(),
-        )
+        monkeypatch.setattr(engine, "run_feature_batch", _fail_group_batches)
         decomposed = _fit(rep, policy=_policy(max_retries=1))
         assert decomposed.failure_report_ is not None
         assert not decomposed.failure_report_  # no feature was lost
@@ -161,10 +169,7 @@ class TestBatchFailureDecomposition:
     ):
         """Decomposed members still stream into the journal at per-feature
         keys, so a later resume sees a complete journal."""
-        monkeypatch.setattr(
-            "repro.core.engine.make_batched_learner",
-            lambda name, **kwargs: _ExplodingBatchedRidge(),
-        )
+        monkeypatch.setattr(engine, "run_feature_batch", _fail_group_batches)
         path = tmp_path / "fit.journal"
         with CheckpointJournal(path) as journal:
             _fit(rep, checkpoint=journal, policy=_policy(max_retries=1))
@@ -174,3 +179,71 @@ class TestBatchFailureDecomposition:
         with CheckpointJournal(path) as journal:
             _fit(rep, checkpoint=journal)
             assert journal.preloaded == n_items and journal.appended == 0
+
+
+@pytest.fixture
+def ridge_fit_calls(monkeypatch, tmp_path):
+    """Count ``RidgeRegressor.fit`` calls, forked process-mode workers
+    included: each call appends one byte to a file."""
+    path = tmp_path / "ridge-fit-calls"
+    path.touch()
+    fit = RidgeRegressor.fit
+
+    def counted(self, x, y):
+        with open(path, "ab") as calls:
+            calls.write(b".")
+        return fit(self, x, y)
+
+    monkeypatch.setattr(RidgeRegressor, "fit", counted)
+    return lambda: path.stat().st_size
+
+
+def _ridge_data():
+    """12 real features. Two carry NaN holes; the other ten share every
+    row, so they train as one group of ten."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(60, 12))
+    for j in (0, 1):
+        x[rng.random(60) < 0.1, j] = np.nan
+    schema = FeatureSchema(
+        tuple(FeatureSpec(FeatureKind.REAL, name=f"r{j}") for j in range(12))
+    )
+    return x, rng.normal(size=(20, 12)), schema
+
+
+class TestOneRidgeFormula:
+    """Fault-plan runs and decomposed batches train ridge with the group
+    solver a clean batched run uses: no ``RidgeRegressor.fit`` call, and
+    the same NS scores bit for bit, in every execution mode."""
+
+    CONFIG = FRaCConfig(regressor="ridge")
+
+    def scores(self, mode="serial", **fit_kwargs):
+        x, x_test, schema = _ridge_data()
+        execution = ExecutionConfig(mode=mode, n_workers=2, retry=_policy(max_retries=1))
+        frac = FRaC(replace(self.CONFIG, execution=execution), rng=7)
+        return frac.fit(x, schema, **fit_kwargs).score(x_test)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_fault_plan_run(self, mode, ridge_fit_calls):
+        clean = self.scores()
+        faulted = self.scores(mode, fault_plan=FaultPlan.failing(4, attempts=[0]))
+        assert ridge_fit_calls() == 0
+        np.testing.assert_array_equal(clean, faulted)
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_decomposed_batch_run(self, mode, ridge_fit_calls, monkeypatch):
+        clean = self.scores()
+        monkeypatch.setattr(engine, "run_feature_batch", _fail_group_batches)
+        decomposed = self.scores(mode)
+        assert ridge_fit_calls() == 0
+        np.testing.assert_array_equal(clean, decomposed)
+
+    def test_per_feature_path_fits_each_member(self, ridge_fit_calls, per_feature_path):
+        """The reference learners: one fit per (feature, fold) plus each
+        feature's refit, and the same scores."""
+        clean = self.scores()
+        with per_feature_path():
+            reference = self.scores(fault_plan=FaultPlan.failing(4, attempts=[0]))
+        assert ridge_fit_calls() == 12 * (self.CONFIG.n_folds + 1)
+        np.testing.assert_array_equal(clean, reference)

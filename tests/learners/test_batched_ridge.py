@@ -14,8 +14,8 @@ Grams from duplicated columns).
 import numpy as np
 import pytest
 
-from repro.learners.batched import BatchedLearner, BatchedRidge
-from repro.learners.registry import make_batched_learner, supports_batching
+from repro.learners.batched import BatchedRidge
+from repro.learners.registry import BATCHED_REGRESSORS
 from repro.learners.ridge import RidgeRegressor
 
 
@@ -156,11 +156,11 @@ class TestValidation:
 
 class TestRegistryIntegration:
     def test_ridge_supports_batching(self):
-        assert supports_batching("ridge")
-        learner = make_batched_learner("ridge", alpha=0.3)
-        assert isinstance(learner, BatchedLearner)
+        assert "ridge" in BATCHED_REGRESSORS
+        learner = BATCHED_REGRESSORS["ridge"](alpha=0.3)
+        assert isinstance(learner, BatchedRidge)
         assert learner.alpha == 0.3
 
     def test_unbatchable_learners_say_no(self):
-        assert not supports_batching("linear_svr")
-        assert not supports_batching("tree")
+        assert "linear_svr" not in BATCHED_REGRESSORS
+        assert "tree" not in BATCHED_REGRESSORS
