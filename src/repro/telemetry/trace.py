@@ -276,7 +276,9 @@ SPAN_QUALNAMES = {
     "fit.build_tasks": "repro.core.frac.FRaC.fit",
     # The training span wraps the batched/per-feature dispatcher.
     "fit.train": "repro.core.engine.run_feature_tasks",
-    # One batch-wave work item: carries batch_size / group attrs.
+    # One run_feature_batch call: carries batch_size / group attrs. A
+    # planner batch has its group digest; a task run on its own (fault
+    # plans, passthrough, decomposed members) is a size-1 span, group "".
     "fit.batch": "repro.core.engine.run_feature_batch",
     "score.contributions": "repro.core.engine.score_contributions",
     # The scoring hot path, nested under score.contributions. The span

@@ -72,3 +72,67 @@ class TestSurprisal:
         s = float(m.surprisal(np.array([0.0]), np.array([query]))[0])
         mode_surprisal = np.log(m.sigma_) + 0.5 * _LOG_2PI
         assert s >= mode_surprisal - 1e-9
+
+
+class TestBatchFit:
+    """``batch_fit`` / ``batch_mean_surprisal`` / ``batch_surprisal`` are
+    bitwise the per-row ``fit`` / ``surprisal(...).mean()`` /
+    ``surprisal``: the training engine fits every feature's error model
+    through the batched calls, so these are their only oracle."""
+
+    @staticmethod
+    def _stack(seed, k, n):
+        gen = np.random.default_rng(seed)
+        truth = gen.normal(gen.normal(size=(k, 1)), gen.uniform(0.1, 3.0, size=(k, 1)), (k, n))
+        pred = truth + gen.normal(0.3, 1.7, size=(k, n))
+        # One member predicted exactly: zero residual std, floored sigma.
+        pred[0] = truth[0]
+        return pred, truth
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 1000])
+    @pytest.mark.parametrize("sigma_floor", [1e-6, 0.5])
+    def test_matches_scalar_fits(self, n, sigma_floor):
+        """n straddles numpy's pairwise-sum unroll (8) and block (128) sizes."""
+        pred, truth = self._stack(n, k=5, n=n)
+        models = GaussianErrorModel.batch_fit(pred, truth, sigma_floor=sigma_floor)
+        means = GaussianErrorModel.batch_mean_surprisal(models, pred, truth)
+        for j, model in enumerate(models):
+            ref = GaussianErrorModel(sigma_floor).fit(pred[j], truth[j])
+            assert model.sigma_floor == ref.sigma_floor
+            assert model.mu_ == ref.mu_
+            assert model.sigma_ == ref.sigma_
+            assert means[j] == ref.surprisal(pred[j], truth[j]).mean()
+        assert models[0].sigma_ == sigma_floor
+
+    def test_strided_stacks_match(self):
+        """Non-contiguous inputs (e.g. a column slice) fit like their rows."""
+        pred, truth = self._stack(3, k=4, n=300)
+        pred_s, truth_s = pred[:, ::2], truth[:, ::2]
+        models = GaussianErrorModel.batch_fit(pred_s, truth_s)
+        means = GaussianErrorModel.batch_mean_surprisal(models, pred_s, truth_s)
+        for j, model in enumerate(models):
+            ref = GaussianErrorModel().fit(pred_s[j], truth_s[j])
+            assert (model.mu_, model.sigma_) == (ref.mu_, ref.sigma_)
+            assert means[j] == ref.surprisal(pred_s[j], truth_s[j]).mean()
+
+    def test_batch_surprisal_matches_columns(self):
+        pred, truth = self._stack(4, k=6, n=200)
+        models = GaussianErrorModel.batch_fit(pred, truth)
+        gen = np.random.default_rng(5)
+        p_test, t_test = gen.normal(size=(2, 17, 6))
+        s = GaussianErrorModel.batch_surprisal(models, p_test, t_test)
+        for j, model in enumerate(models):
+            assert np.array_equal(s[:, j], model.surprisal(p_test[:, j], t_test[:, j]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_residual_raises_like_scalar(self, bad):
+        pred, truth = self._stack(6, k=3, n=20)
+        truth[2, 11] = bad
+        with pytest.raises(FitError, match="non-finite"):
+            GaussianErrorModel().fit(pred[2], truth[2])
+        with pytest.raises(FitError, match="non-finite"):
+            GaussianErrorModel.batch_fit(pred, truth)
+
+    def test_rejects_empty_holdout(self):
+        with pytest.raises(FitError, match="zero holdout"):
+            GaussianErrorModel.batch_fit(np.zeros((2, 0)), np.zeros((2, 0)))
