@@ -10,11 +10,7 @@ Benchmarks run the paper's protocol at a reduced feature scale (DESIGN.md
   sample counts)
 
 Each bench writes its rendered table/series to ``benchmarks/results/`` so
-the regenerated artifacts survive pytest's output capture. A telemetry
-sidecar, ``benchmarks/results/BENCH_telemetry.json``, records per-bench
-wall time, CPU time, and peak RSS through the telemetry metrics registry
-(see docs/observability.md), so successive bench runs can be compared
-without re-parsing pytest output.
+the regenerated artifacts survive pytest's output capture.
 """
 
 from __future__ import annotations
@@ -27,35 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import DEFAULT_BENCH_SCALE, StudySettings, default_study
-from repro.parallel import profiling
-from repro.telemetry import MetricsRegistry
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Session-wide registry the timing hook below fills; dumped at exit.
-_BENCH_METRICS = MetricsRegistry()
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    w0, c0 = profiling.wall_seconds(), profiling.cpu_seconds()
-    yield
-    name = item.nodeid.split("::")[-1]
-    _BENCH_METRICS.gauge(f"bench.{name}.wall_s").set(profiling.wall_seconds() - w0)
-    _BENCH_METRICS.gauge(f"bench.{name}.cpu_s").set(profiling.cpu_seconds() - c0)
-    _BENCH_METRICS.gauge(f"bench.{name}.rss_peak_bytes").set(
-        profiling.peak_rss_bytes()
-    )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _BENCH_METRICS.snapshot()["gauges"]:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {"format": "repro-bench-telemetry-v1", **_BENCH_METRICS.snapshot()}
-    (RESULTS_DIR / "BENCH_telemetry.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 @pytest.fixture(scope="session")

@@ -26,10 +26,10 @@ re-executing only the missing items (docs/scaling.md, "Fault tolerance").
 Observability: ``--trace run.jsonl`` records the run's full telemetry
 stream to a kill-tolerant JSONL trace and ``--progress`` paints a
 throttled one-line progress display on stderr. A recorded trace is
-analyzed with ``python -m repro trace run.jsonl`` (summary), ``trace
-timeline run.jsonl`` (worker timeline, stragglers, critical path),
-``trace diff A B`` (two-run comparison), and ``trace report run.jsonl``
-(markdown run report). See docs/observability.md.
+analyzed with ``python -m repro trace run.jsonl`` (summary, then the
+worker timeline, stragglers and critical path; ``--output`` writes it to
+a file) and ``trace diff A B`` (two-run comparison). See
+docs/observability.md.
 """
 
 from __future__ import annotations
@@ -234,12 +234,11 @@ def _read_checked(path: str):
 
 
 def _cmd_trace(args: argparse.Namespace) -> str:
-    """Trace analysis: summarize / timeline / diff / report.
+    """Trace analysis: the run document, or a two-trace diff.
 
-    ``trace FILE`` summarizes; ``trace timeline FILE`` reconstructs the
-    worker timeline; ``trace diff A B`` compares two traces; ``trace
-    report FILE`` renders the markdown run report (--output writes it).
-    See docs/observability.md ("fracscope v2").
+    ``trace FILE`` prints the summary followed by the worker timeline
+    (--output writes it to a file); ``trace diff A B`` compares two
+    traces. See docs/observability.md.
     """
     from repro.utils.exceptions import ReproError
 
@@ -259,28 +258,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
             label_b=extra[1],
         )
         return render_trace_diff(diff)
-    if verb == "report":
-        if len(extra) != 1:
-            raise ReproError(
-                "trace report requires one trace file: "
-                "python -m repro trace report run.jsonl"
-            )
-        from repro.telemetry.report import render_run_report
-
-        text = render_run_report(_read_checked(extra[0]))
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-            return f"run report written to {args.output}"
-        return text
-    if verb == "timeline":
-        if len(extra) != 1:
-            raise ReproError(
-                "trace timeline requires one trace file: "
-                "python -m repro trace timeline run.jsonl"
-            )
-        from repro.telemetry.timeline import build_timeline, render_timeline
-
-        return render_timeline(build_timeline(_read_checked(extra[0])))
     if not verb:
         raise ReproError(
             "trace requires a trace file: python -m repro trace run.jsonl"
@@ -288,12 +265,21 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     if extra:
         raise ReproError(
             f"unknown trace arguments {extra}; expected one of: "
-            f"trace FILE | trace timeline FILE | trace diff A B | "
-            f"trace report FILE"
+            f"trace FILE | trace diff A B"
         )
+    from repro.telemetry.timeline import build_timeline, render_timeline
     from repro.telemetry.trace import render_trace_summary, summarize_trace
 
-    return render_trace_summary(summarize_trace(_read_checked(verb)))
+    result = _read_checked(verb)
+    text = (
+        render_trace_summary(summarize_trace(result))
+        + "\n\n"
+        + render_timeline(build_timeline(result))
+    )
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+        return f"run document written to {args.output}"
+    return text
 
 
 _COMMANDS = {
@@ -319,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS), help="artifact to regenerate")
     parser.add_argument("path", nargs="?", default="",
-                        help="trace file to summarize, or a trace sub-command "
-                             "(timeline | diff | report)")
+                        help="trace file to summarize, or the trace "
+                             "sub-command diff")
     parser.add_argument("extra", nargs="*", default=[],
                         help="trace sub-command arguments (e.g. the two "
                              "files for: trace diff A.jsonl B.jsonl)")
@@ -336,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="projections per Fig-3 point (default 10)")
     parser.add_argument("--seed", type=int, default=2017, help="root seed")
     parser.add_argument("--output", default="",
-                        help="write the report (report command) or the fitted "
-                             "detector (fit command) here")
+                        help="write the report (report and trace commands) "
+                             "or the fitted detector (fit command) here")
     parser.add_argument("--verbose", action="store_true",
                         help="log per-run progress to stderr")
 

@@ -357,9 +357,6 @@ class FRaC(AnomalyDetector):
                     n_skipped=self.n_skipped_,
                     n_failed=self.n_failed_,
                     failure_report=failures.to_dict(),
-                    metrics=(
-                        bus.metrics.snapshot() if bus.metrics is not None else None
-                    ),
                 )
             )
         return self

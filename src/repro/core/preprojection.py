@@ -21,7 +21,6 @@ from repro.data.schema import FeatureSchema
 from repro.parallel.profiling import cpu_seconds
 from repro.parallel.resources import ResourceReport
 from repro.projection.jl import JLTransform
-from repro.telemetry.runtime import get_bus
 from repro.telemetry.spans import span
 from repro.projection.onehot import OneHotEncoder
 from repro.utils.exceptions import NotFittedError
@@ -72,10 +71,6 @@ class JLFRaC(AnomalyDetector):
         # One matrix multiply: n x d_onehot x k multiply-adds.
         work = x.shape[0] * self._encoder.width * self.n_components
         self._projection_work += work
-        bus = get_bus()
-        if bus is not None:
-            bus.metrics.counter("jl.projections").inc()
-            bus.metrics.counter("jl.work_units").inc(work)
         return out
 
     def fit(self, x_train: np.ndarray, schema: FeatureSchema) -> "JLFRaC":

@@ -21,7 +21,6 @@ from repro.core import (
 )
 from repro.core.types import AnomalyDetector
 from repro.experiments.settings import StudySettings
-from repro.telemetry.runtime import get_bus
 from repro.utils.exceptions import DataError
 
 #: Methods appearing in the paper's result tables.
@@ -58,10 +57,6 @@ def make_detector(
     jl_components: "int | None" = None,
 ) -> AnomalyDetector:
     """Build one unfitted detector for ``method`` on ``dataset``."""
-    bus = get_bus()
-    if bus is not None:
-        bus.metrics.counter("experiments.detectors_built").inc()
-        bus.metrics.counter(f"experiments.method.{method}").inc()
     cfg = settings.config_for(dataset)
     if method == "full":
         return FRaC(cfg, rng=rng)

@@ -31,7 +31,6 @@ import pickle
 from pathlib import Path
 from typing import Any
 
-from repro.telemetry.runtime import get_bus
 from repro.utils.exceptions import ReproError
 
 FORMAT = "repro-checkpoint-v1"
@@ -82,9 +81,6 @@ class CheckpointJournal:
             self._fh.flush()
         self._entries = entries
         self.preloaded = len(entries)
-        bus = get_bus()
-        if bus is not None:
-            bus.metrics.counter("checkpoint.preloaded").inc(self.preloaded)
         return self
 
     def close(self) -> None:
@@ -168,6 +164,3 @@ class CheckpointJournal:
         self._fh.flush()
         self._entries[key] = value
         self.appended += 1
-        bus = get_bus()
-        if bus is not None:
-            bus.metrics.counter("checkpoint.appended").inc()

@@ -58,7 +58,7 @@ def save_detector(
 
     When telemetry is on (an ambient bus is configured; see
     :mod:`repro.telemetry`), the bus's trace metadata — trace file path,
-    event counts, aggregated metrics — is embedded under ``"telemetry"``,
+    event count, per-event-name counts — is embedded under ``"telemetry"``,
     so a persisted artifact points back at the trace of the run that
     produced it.
     """

@@ -8,20 +8,16 @@ its results:
   task lifecycle, retries/timeouts/crashes, checkpoint reuse, folds,
   scoring, spans);
 - :mod:`~repro.telemetry.bus` — the :class:`EventBus` delivering
-  stamped records to pluggable sinks and a metrics registry;
+  stamped records to pluggable sinks;
 - :mod:`~repro.telemetry.sinks` — JSONL trace file (kill-tolerant),
   in-memory collector, throttled stderr progress line;
 - :mod:`~repro.telemetry.spans` — nested wall/CPU/RSS phase accounting;
-- :mod:`~repro.telemetry.metrics` — deterministic counters / gauges /
-  fixed-bucket histograms;
 - :mod:`~repro.telemetry.trace` — the read/summarize/render toolchain
   behind ``python -m repro trace``;
 - :mod:`~repro.telemetry.timeline` — per-slot timeline reconstruction,
   utilization, stragglers, parallelism profile, critical path;
 - :mod:`~repro.telemetry.diff` — two-trace comparison behind
-  ``python -m repro trace diff A B``;
-- :mod:`~repro.telemetry.report` — the markdown run report behind
-  ``python -m repro trace report``.
+  ``python -m repro trace diff A B``.
 
 Telemetry is **off by default and zero-overhead when off**: the ambient
 bus (:func:`get_bus`) is ``None`` and every instrumentation site is a
@@ -57,14 +53,6 @@ from repro.telemetry.events import (
     TelemetryEvent,
     WorkerCrashDetected,
 )
-from repro.telemetry.metrics import (
-    DURATION_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.report import render_run_report
 from repro.telemetry.runtime import (
     configure,
     emit,
@@ -123,11 +111,6 @@ __all__ = [
     "ScoreComputed",
     "SpanStarted",
     "SpanFinished",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DURATION_BUCKETS_S",
     "Sink",
     "MemorySink",
     "JsonlTraceSink",
@@ -165,5 +148,4 @@ __all__ = [
     "RATIO_THRESHOLD",
     "diff_traces",
     "render_trace_diff",
-    "render_run_report",
 ]

@@ -1,9 +1,8 @@
-"""The event bus: one emit path, pluggable sinks, aggregated metrics.
+"""The event bus: one emit path, pluggable sinks, per-event counts.
 
 A bus stamps every event with a monotonically increasing sequence number
-and a wall timestamp (read through the profiling layer — FRL007), fans
-the record out to its sinks, and applies the central event->metric
-mapping to its :class:`~repro.telemetry.metrics.MetricsRegistry`.
+and a wall timestamp (read through the profiling layer — FRL007), counts
+it by name, and fans the record out to its sinks.
 
 Emission is serialized under a lock: the engine's thread mode trains
 feature models concurrently and their ``FoldTrained`` events interleave
@@ -22,7 +21,6 @@ from typing import Iterable
 
 from repro.parallel import profiling
 from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sinks import Sink
 
 
@@ -44,17 +42,15 @@ class TraceRecord:
 
 
 class EventBus:
-    """Delivers telemetry events to sinks and the metrics registry."""
+    """Delivers telemetry events to sinks, counting them by name."""
 
     def __init__(
         self,
         sinks: "Iterable[Sink] | None" = None,
         *,
-        metrics: "MetricsRegistry | None" = None,
         trace_path: "str | None" = None,
     ) -> None:
         self.sinks: list[Sink] = list(sinks or [])
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Path of the JSONL trace this bus writes, if any (recorded into
         #: persisted-artifact metadata so a pickle points at its trace).
         self.trace_path = trace_path
@@ -78,7 +74,6 @@ class EventBus:
             )
             self._seq += 1
             self.counts[event.name] = self.counts.get(event.name, 0) + 1
-            self.metrics.record_event(event)
             for sink in self.sinks:
                 sink.handle(record)
 
@@ -89,13 +84,12 @@ class EventBus:
 
     def trace_metadata(self) -> dict:
         """Summary embedded alongside persisted artifacts: where the
-        trace lives, what it contains, and the aggregated metrics."""
+        trace lives and what it contains."""
         with self._lock:
             return {
                 "trace_path": self.trace_path,
                 "n_events": self._seq,
                 "event_counts": dict(sorted(self.counts.items())),
-                "metrics": self.metrics.snapshot(),
             }
 
     def close(self) -> None:

@@ -30,7 +30,6 @@ lists: byte-identical output for identical inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.telemetry.trace import (
@@ -275,14 +274,3 @@ def render_trace_diff(diff: TraceDiff) -> str:
         lines.append("event multisets: consistent (same work, timing aside)")
     return "\n".join(lines)
 
-
-def log_ratio(a: float, b: float) -> float:
-    """log(b/a) guarded for the degenerate zero cases.
-
-    The regression gate works in log-ratio space (symmetric: a 2x
-    slowdown and a 2x speedup are equidistant from 0). Zero or negative
-    inputs have no ratio; callers must filter, this raises.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"log ratio needs positive inputs, got {a!r}, {b!r}")
-    return math.log(b / a)  # fraclint: disable=FRL003 -- both inputs validated positive above

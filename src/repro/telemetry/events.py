@@ -130,7 +130,6 @@ class RunFinished(TelemetryEvent):
     n_skipped: int = 0
     n_failed: int = 0
     failure_report: "dict | None" = None
-    metrics: "dict | None" = None
 
 
 # -- per-feature task lifecycle ----------------------------------------------

@@ -143,31 +143,27 @@ class Timeline:
 def _pair_task_intervals(records: list) -> "tuple[list, int]":
     """Match Started/Finished records into intervals, in finish order.
 
-    A start is matched FIFO per task index (retries re-dispatch the same
-    index; the interval spans first dispatch to terminal finish, which
-    is exactly the queue+retry+execute life of the item). Finishes with
-    no start on file (checkpoint replay, torn head) become zero-length
+    Retries re-dispatch the same index, so an interval spans an index's
+    first dispatch to its terminal finish, which is exactly the
+    queue+retry+execute life of the item; the finish closes the index,
+    so a later run reusing it opens a fresh interval. Finishes with no
+    start on file (checkpoint replay, torn head) become zero-length
     markers counted separately.
     """
-    pending: dict[int, list] = {}
+    pending: dict[int, float] = {}
     intervals: list[TaskInterval] = []
     n_instant = 0
     for rec in records:
         event = rec.get("event")
         if event == "FeatureTaskStarted":
-            index = rec.get("index", -1)
             # Only the first dispatch opens the interval; retry
             # dispatches of the same in-flight index extend nothing.
-            pending.setdefault(index, []).append(rec.get("t", 0.0))
+            pending.setdefault(rec.get("index", -1), rec.get("t", 0.0))
         elif event == "FeatureTaskFinished":
             index = rec.get("index", -1)
-            starts = pending.get(index)
             end_t = rec.get("t", 0.0)
-            if starts:
-                start_t = starts.pop(0)
-                if not starts:
-                    del pending[index]
-            else:
+            start_t = pending.pop(index, None)
+            if start_t is None:
                 start_t = end_t
                 n_instant += 1
             intervals.append(

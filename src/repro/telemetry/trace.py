@@ -12,7 +12,8 @@ the run-level facts an operator asks of a feature-scale batch:
   the failure report embedded in the terminal ``RunFinished`` event;
 - checkpoint reuse rate.
 
-``python -m repro trace run.jsonl`` renders the summary as text.
+``python -m repro trace run.jsonl`` renders the summary as text, then
+the worker timeline (:mod:`repro.telemetry.timeline`).
 """
 
 from __future__ import annotations

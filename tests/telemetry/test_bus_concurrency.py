@@ -8,7 +8,7 @@ Two halves:
   blocking-call-under-lock finding fixed in this revision);
 - a deterministic interleaving stress test: barrier-scheduled thread-mode
   publishers hammer one bus concurrently, and the observable outcome —
-  the trace event multiset and the metrics snapshot — must be
+  the trace event multiset and the bus's per-event counts — must be
   replay-identical across runs even though the interleaving itself is
   scheduler-chosen.
 """
@@ -120,13 +120,13 @@ def _run_once() -> tuple:
         for r in memory.records
     )
     seqs = [r.seq for r in memory.records]
-    return results, multiset, bus.metrics.snapshot(), bus.n_emitted, seqs
+    return results, multiset, bus.counts, bus.n_emitted, seqs
 
 
 class TestInterleavingDeterminism:
     def test_trace_multiset_and_metrics_replay_identical(self):
-        results_a, multiset_a, metrics_a, n_a, seqs_a = _run_once()
-        results_b, multiset_b, metrics_b, n_b, seqs_b = _run_once()
+        results_a, multiset_a, counts_a, n_a, seqs_a = _run_once()
+        results_b, multiset_b, counts_b, n_b, seqs_b = _run_once()
         # Harvested results keep submission order regardless of schedule.
         assert results_a == results_b == list(range(N_PUBLISHERS))
         # Every emit was stamped atomically: a contiguous, gap-free
@@ -135,4 +135,4 @@ class TestInterleavingDeterminism:
         assert n_a == n_b == 2 * N_PUBLISHERS * EVENTS_PER_TASK + 2
         # The interleaving is scheduler-chosen, the outcome is not.
         assert multiset_a == multiset_b
-        assert metrics_a == metrics_b
+        assert counts_a == counts_b

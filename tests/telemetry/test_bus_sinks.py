@@ -35,11 +35,6 @@ class TestEventBus:
         assert bus.n_emitted == 3
         assert bus.counts == {"FeatureTaskStarted": 2, "FeatureTaskFinished": 1}
 
-    def test_metrics_fed_on_emit(self):
-        bus = EventBus()
-        bus.emit(FeatureTaskFinished(index=0, status="ok"))
-        assert bus.metrics.snapshot()["counters"]["executor.tasks_ok"] == 1
-
     def test_emit_after_close_is_noop(self):
         sink = MemorySink()
         bus = EventBus([sink])
@@ -56,7 +51,6 @@ class TestEventBus:
         assert meta["trace_path"] == "run.jsonl"
         assert meta["n_events"] == 1
         assert meta["event_counts"] == {"RunStarted": 1}
-        assert meta["metrics"]["counters"]["runs.started"] == 1
 
     def test_add_sink_mid_run(self):
         bus = EventBus()

@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry.diff import (
     RATIO_THRESHOLD,
     diff_traces,
-    log_ratio,
     render_trace_diff,
 )
 
@@ -97,15 +96,6 @@ class TestEventDrift:
         diff = diff_traces(a, b)
         assert diff.event_drift == [("SpanFinished", 1, 2)]
         assert "different work" in render_trace_diff(diff)
-
-
-class TestLogRatio:
-    def test_symmetric_around_zero(self):
-        assert log_ratio(1.0, 2.0) == pytest.approx(-log_ratio(2.0, 1.0))
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError, match="positive"):
-            log_ratio(0.0, 1.0)
 
 
 class TestCommittedTableIIPin:

@@ -6,11 +6,13 @@
   per-feature event counts and signature multisets, including under
   injected faults (retries, timeouts, worker crashes).
 - ``python -m repro trace`` summarizes a recorded trace, with fault
-  counts matching the embedded FailureReport exactly.
+  counts matching the embedded FailureReport exactly, then renders its
+  worker timeline.
 """
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,20 @@ from repro.data.synthetic import ExpressionConfig, make_expression_dataset
 from repro.parallel.executor import ExecutionConfig, run_tasks
 from repro.parallel.faults import FailureReport, FaultPlan, RetryPolicy
 from repro.persistence import load_detector, save_detector
-from repro.telemetry import EventBus, MemorySink, get_bus, per_feature_counts, read_trace
+from repro.telemetry import (
+    EventBus,
+    MemorySink,
+    build_timeline,
+    get_bus,
+    per_feature_counts,
+    read_trace,
+    render_timeline,
+    render_trace_summary,
+    summarize_trace,
+)
 from repro.telemetry import runtime as telemetry_runtime
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +109,20 @@ class TestReplayDeterminism:
         names = {r["event"] for r in first.records}
         assert {"RunStarted", "FeatureTaskStarted", "FeatureTaskFinished",
                 "FoldTrained", "ScoreComputed", "RunFinished"} <= names
+
+    def test_two_seeded_fits_have_equal_signature_multisets(self, tiny_rep):
+        def signatures():
+            sink = MemorySink()
+            previous = telemetry_runtime.set_bus(EventBus([sink]))
+            try:
+                FRaC(FRaCConfig.fast(), rng=0).fit(tiny_rep.x_train, tiny_rep.schema)
+            finally:
+                telemetry_runtime.set_bus(previous)
+            return sink.signatures()
+
+        first = signatures()
+        assert first == signatures()
+        assert sum(n for sig, n in first.items() if sig[0] == "RunFinished") == 1
 
     def _fault_signatures(self, mode, fault_plan, *, n_workers=2, **policy):
         sink = MemorySink()
@@ -245,6 +273,32 @@ class TestTraceCli:
         )
         assert cli_main(["trace", str(trace)]) == 2
         assert "undecodable" in capsys.readouterr().err
+
+    def test_trace_output_writes_summary_then_timeline(
+        self, no_ambient_bus, tmp_path, capsys
+    ):
+        # The committed fixture's RunFinished records carry the retired
+        # ``metrics`` snapshot: old traces must still load.
+        fixture = FIXTURES / "BENCH_table2_trace.jsonl"
+        result = read_trace(fixture)
+        assert any("metrics" in r for r in result.records)
+        out = tmp_path / "report.txt"
+        assert cli_main(["trace", str(fixture), "--output", str(out)]) == 0
+        assert str(out) in capsys.readouterr().out
+        text = out.read_text(encoding="utf-8")
+        assert "trace summary:" in text
+        assert "timeline:" in text and "critical path" in text
+        summary = render_trace_summary(summarize_trace(result))
+        timeline = render_timeline(build_timeline(result))
+        assert text == summary + "\n\n" + timeline
+
+    @pytest.mark.parametrize("verb", ["timeline", "report"])
+    def test_retired_trace_verbs_are_usage_errors(
+        self, no_ambient_bus, verb, capsys
+    ):
+        fixture = FIXTURES / "BENCH_table2_trace.jsonl"
+        assert cli_main(["trace", verb, str(fixture)]) == 2
+        assert "expected one of" in capsys.readouterr().err
 
     def test_cli_trace_flag_records_then_summarizes(
         self, no_ambient_bus, tmp_path, capsys

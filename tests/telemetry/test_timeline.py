@@ -72,6 +72,25 @@ class TestPairing:
         assert timeline.intervals[0].start_t == 1.0
         assert timeline.intervals[0].end_t == 5.0
 
+    def test_retried_task_does_not_leak_into_a_later_run(self):
+        # Two attempts at index 0 (t = 0, 1) finish at 2; a later run
+        # reuses index 0 from t = 10 to 11. The retry's start must die
+        # with the first finish, not open the later run's interval.
+        records = [
+            rec(0, 0.0, "FeatureTaskStarted", index=0, attempt=0),
+            rec(1, 1.0, "FeatureTaskStarted", index=0, attempt=1),
+            rec(2, 2.0, "FeatureTaskFinished", index=0, status="ok", attempts=2,
+                duration_s=1.0),
+            *task(3, 10.0, 11.0, index=0, duration=1.0),
+        ]
+        timeline = build_timeline(records)
+        assert [(iv.start_t, iv.end_t) for iv in timeline.intervals] == [
+            (0.0, 2.0),
+            (10.0, 11.0),
+        ]
+        assert timeline.intervals[1].queue_wait_s == 0.0
+        assert timeline.n_slots == 1
+
     def test_missing_duration_yields_no_queue_wait(self):
         records = task(0, 0.0, 1.0, index=0)
         assert build_timeline(records).intervals[0].queue_wait_s is None
