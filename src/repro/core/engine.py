@@ -27,8 +27,10 @@ predictors:
 
 - real targets whose regressor is in
   :data:`~repro.learners.registry.BATCHED_REGRESSORS` (ridge): per fold
-  one centering of the shared design, then per member its own column
-  gather, Gram factorization and solves (:mod:`repro.learners.batched`);
+  one centering of the shared design; all-others members in the dual
+  regime (full FRaC's wiring, more inputs than fold rows) then share one
+  Gram factorization, and every other member gathers its own columns and
+  factors its own Gram (:mod:`repro.learners.batched`);
 - categorical targets whose classifier is in
   :data:`~repro.learners.registry.BATCHED_CLASSIFIERS` (trees), when the
   group's design is small integer codes: each fold grows every member's
@@ -74,6 +76,7 @@ from repro.errormodels.confusion import ConfusionErrorModel
 from repro.errormodels.entropy import batch_discrete_entropy
 from repro.errormodels.gaussian import GaussianErrorModel
 from repro.errormodels.kde import batch_entropy
+from repro.learners.batched import all_others_column
 from repro.learners.registry import (
     BATCHED_CLASSIFIERS,
     BATCHED_REGRESSORS,
@@ -382,9 +385,10 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
 
     - :func:`_fit_real_group` for a regressor in
       :data:`~repro.learners.registry.BATCHED_REGRESSORS`: per fold one
-      centering of the shared design, then per member its own column
-      gather, Gram + Cholesky and gemv solves through
-      :meth:`repro.learners.batched.RidgeMaskedSolver.member`;
+      centering of the shared design; dual all-others members share one
+      Gram + Cholesky (:meth:`repro.learners.batched.RidgeMaskedSolver.solver`),
+      every other member gathers its own columns and factors its own
+      Gram through :meth:`repro.learners.batched.RidgeMaskedSolver.member`;
     - :func:`_fit_categorical_group` when :func:`_grows_tree_group` says
       so: per fold one group tree build,
       :meth:`repro.learners.decision_tree.BatchedTreeClassifier.fit_group`,
@@ -489,17 +493,29 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
 
 def _fit_real_group(batch, cfg, x_full, ys, ids_list, folds):
     """Ridge side of :func:`run_feature_batch`: ``(holdout predictions,
-    refit)``, ``refit(j)`` fitting member ``j``'s final predictor."""
+    refit)``, ``refit(j)`` fitting member ``j``'s final predictor.
+
+    All-others members (inputs: every design column but one) in the dual
+    regime train from one factorization per (group, fold),
+    :meth:`~repro.learners.batched.RidgeMaskedSolver.solver`, and predict
+    their holdout rows in kernel form; every other member — and one whose
+    Sherman–Morrison denominator trips the guard — fits its own Gram
+    through :meth:`~repro.learners.batched.RidgeMaskedSolver.member`.
+    Each member's floats are per-member vector ops on per-(group, fold)
+    arrays, so they do not depend on the batch it trains in.
+    """
     learner = BATCHED_REGRESSORS[cfg.regressor](**dict(cfg.regressor_params))
     bus = get_bus()
     preds = np.empty(ys.shape)
+    dropped = [all_others_column(ids, x_full.shape[1]) for ids in ids_list]
+    any_all_others = any(i is not None for i in dropped)
     for fold, (train_idx, holdout_idx) in enumerate(folds):
-        # One gather + one mean/centering pass per (group, fold); the
-        # remaining per-member cost is the column gather and its own
-        # Gram factorization (a shared factor is not bit-reachable here —
-        # see repro.learners.batched).
+        # One gather + one mean/centering pass per (group, fold), and one
+        # factorization when all-others members are dual.
         solver = learner.masked_solver(x_full[train_idx], check=False)
+        shared = solver.solver() if any_all_others else None
         x_holdout = x_full[holdout_idx]
+        kernel = None if shared is None else shared.kernel(x_holdout)
         # ascontiguousarray: the column gather is F-contiguous, whose
         # axis-1 reduction takes a strided kernel; each member's
         # reference y.mean() is the 1-D pairwise kernel, which only the
@@ -516,20 +532,34 @@ def _fit_real_group(batch, cfg, x_full, ys, ids_list, folds):
         y_means = y_fold.mean(axis=1)
         y_centered = y_fold - y_means[:, None]
         for j, task in enumerate(batch.tasks):
-            member = solver.member(ids_list[j])
-            model = member.solve_centered(y_centered[j], y_means[j])
-            # The gemv predict() runs, minus its isfinite re-scan of rows
-            # validated once above.
-            # ascontiguousarray: the column gather is F-contiguous and
-            # gemv dispatches differently there; RidgeRegressor.predict on
-            # an np.ix_ gather sees C-contiguous rows, so replay that layout.
-            x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])
-            preds[j, holdout_idx] = x_m @ model.coef_ + model.intercept_
+            i = dropped[j]
+            a = None if shared is None or i is None else shared.weights(i, y_centered[j])
+            if a is not None:
+                preds[j, holdout_idx] = shared.predict(kernel, i, a, y_means[j])
+            else:
+                model = solver.member(ids_list[j]).solve_centered(y_centered[j], y_means[j])
+                # The gemv predict() runs, minus its isfinite re-scan of
+                # rows validated once above. ascontiguousarray: the column
+                # gather is F-contiguous and gemv dispatches differently
+                # there; RidgeRegressor.predict on an np.ix_ gather sees
+                # C-contiguous rows, so replay that layout.
+                x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])
+                preds[j, holdout_idx] = x_m @ model.coef_ + model.intercept_
             _emit_fold_trained(bus, task, fold, len(folds))
 
-    # Only the final refit stays per member — its Gram is the member's own.
     final = learner.masked_solver(x_full, check=False)
-    return preds, lambda j: final.member(ids_list[j]).fit_column(ys[j])
+    final_shared = final.solver() if any_all_others else None
+
+    def refit(j):
+        i = dropped[j]
+        if final_shared is not None and i is not None:
+            y_mean = ys[j].mean()
+            a = final_shared.weights(i, ys[j] - y_mean)
+            if a is not None:
+                return final_shared.regressor(i, a, y_mean)
+        return final.member(ids_list[j]).fit_column(ys[j])
+
+    return preds, refit
 
 
 def _fit_categorical_group(batch, cfg, x_full, ys, ids_list, folds):

@@ -8,9 +8,12 @@ means and the centered design. :class:`BatchedRidge` exploits that:
 own input subset through :meth:`RidgeMaskedSolver.member`, which returns
 a :class:`RidgeColumnSolver` for that member's design. The engine's one
 training path (:func:`repro.core.engine.run_feature_batch`) trains every
-ridge feature model this way, alone or in a group.
+ridge feature model this way, alone or in a group, except all-others
+members in the dual regime, which share one factorization per design
+through :meth:`RidgeMaskedSolver.solver` (see the last section).
 
-The contract is **bitwise equivalence**: for every member ``(ids, y)``,
+Outside the all-others dual case (below), the contract is **bitwise
+equivalence**: for every member ``(ids, y)``,
 ``BatchedRidge(alpha).masked_solver(x).member(ids).fit_column(y)`` must
 produce the identical ``coef_`` / ``intercept_`` (`np.array_equal`, not
 allclose) that ``RidgeRegressor(alpha).fit(x[:, ids], y)`` would —
@@ -40,7 +43,8 @@ design matrix. :class:`RidgeMaskedSolver` batches what a group *does*
 share — the row gather, the column means, the centered
 matrix — and hands each member a :class:`RidgeColumnSolver` built from
 the member's column gather of that shared centered state. Three measured
-bitwise facts bound what may be shared (docs/performance.md):
+bitwise facts bound what a *subset or primal* member may share
+(docs/performance.md):
 
 - numpy's axis-0 reduction keys on *memory layout*: on a C-contiguous
   design (what ``np.ix_`` gathers produce, and what the reference fit
@@ -56,17 +60,64 @@ bitwise facts bound what may be shared (docs/performance.md):
   object**: numpy dispatches the same-operand product to ``dsyrk``, and
   extracting ``G[np.ix_(S, S)]`` from a full-width Gram (or multiplying
   two equal copies, which lands in ``dgemm``) does not reproduce its
-  bits. The masked path therefore still factors one Gram per member —
-  the win is amortized gathers, means, and centering, not a shared
-  factorization.
+  bits. Those members therefore still factor one Gram each.
+
+All-others members: one factorization per design
+------------------------------------------------
+Full FRaC's members take every design column but their own target's.
+When such a member is in the dual regime (``d - 1 > n``), its Gram is
+the full-width one minus a rank-one term: with ``u = xc[:, i]``,
+``G = xc @ xc.T + alpha I`` and ``M = G - u u^T``.
+:meth:`RidgeMaskedSolver.solver` factors ``G`` once and returns a
+:class:`SharedDualRidge`, which gives each member its dual weights by
+Sherman–Morrison from two vector solves against that one factor,
+
+    ``z = G^-1 u``, ``g = G^-1 yc``, ``a = g + z (u^T g) / (1 - u^T z)``,
+
+and predicts held-out rows in kernel form, ``K a - (x_i - mean_i) u^T a
++ y_mean`` with ``K = (X_h - mean) xc^T`` computed once per design — no
+member coefficients and no member column gathers. These fits are *not*
+bitwise equal to :class:`~repro.learners.ridge.RidgeRegressor` (the
+reference); they agree to rounding (``tests/learners/test_batched_ridge.py``
+states the tolerance). Every op is per member and vector-shaped, so a
+member's floats do not depend on which batch it trains in. When
+``1 - u^T z`` falls under :data:`MIN_SM_DENOMINATOR` the rank-one update
+would amplify rounding, and the member takes its own
+:meth:`RidgeMaskedSolver.member` fit instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.learners.ridge import RidgeRegressor, spd_factor, spd_solve
+from repro.learners.ridge import RidgeRegressor, check_alpha, spd_factor, spd_solve
 from repro.utils.validation import check_2d, check_consistent_length
+
+#: Smallest Sherman–Morrison denominator ``1 - u^T G^-1 u`` an all-others
+#: member is solved with; below it the member falls back to its own Gram
+#: factorization. In exact arithmetic the denominator is at least
+#: ``alpha / (alpha + |u|^2)``, and the rank-one update divides rounding by
+#: it: over 400 random dual designs (n 5-60, d n+2 to 4n+2, alpha 0.01-10,
+#: the dropped column scaled by up to 10^7) the largest relative coefficient
+#: error against RidgeRegressor was 6.4e-16 / denominator, so this bound
+#: keeps the update's own amplification under ~1e-9. Standardized data with
+#: alpha = 1 stays >= 1/(n+1).
+MIN_SM_DENOMINATOR = 1e-6
+
+
+def all_others_column(input_ids: np.ndarray, width: int) -> "int | None":
+    """The column ``i`` when ``input_ids`` is every column of a ``width``-wide
+    design except ``i`` (ascending), else ``None``."""
+    ids = np.asarray(input_ids)
+    if ids.ndim != 1 or len(ids) != width - 1:
+        return None
+    i = width * (width - 1) // 2 - int(ids.sum())
+    if not 0 <= i < width:
+        return None
+    # Length and sum pin the candidate; the two range compares prove it.
+    if (ids[:i] != np.arange(i)).any() or (ids[i:] != np.arange(i + 1, width)).any():
+        return None
+    return i
 
 
 class RidgeColumnSolver:
@@ -178,6 +229,15 @@ class RidgeMaskedSolver:
         self._x_mean = x.mean(axis=0)
         self._xc = x - self._x_mean
 
+    def solver(self) -> "SharedDualRidge | None":
+        """One factorization for every all-others member of this design, or
+        ``None`` when those members are primal (``d - 1 <= n``) and keep
+        their own :meth:`member` fits."""
+        n, d = self._xc.shape
+        if d - 1 <= n:
+            return None
+        return SharedDualRidge(self._xc, self._x_mean, self._alpha)
+
     def member(self, input_ids: np.ndarray) -> RidgeColumnSolver:
         """A column solver over the subset ``input_ids`` of the design."""
         ids = np.asarray(input_ids, dtype=np.intp)
@@ -199,6 +259,61 @@ class RidgeMaskedSolver:
         )
 
 
+class SharedDualRidge:
+    """Dual ridge fits of every all-others member of one centered design.
+
+    Member ``i`` fits the design without its column ``i``. Its Gram
+    ``M = G - u u^T`` (``u = xc[:, i]``) is a rank-one downdate of the
+    full-width ``G = xc xc^T + alpha I``, factored once here; each member
+    then costs two vector solves (the module docstring has the formulas).
+    A member's dual weights ``a`` stand for its coefficients
+    ``delete(xc^T a, i)`` without forming them until :meth:`regressor`.
+    """
+
+    def __init__(self, xc: np.ndarray, x_mean: np.ndarray, alpha: float) -> None:
+        n = xc.shape[0]
+        self._alpha = alpha
+        self._x_mean = x_mean
+        self._xc = xc
+        # Row i is member i's downdate vector u, contiguous for the solves.
+        self._u = np.ascontiguousarray(xc.T)
+        gram = xc @ xc.T
+        gram.flat[:: n + 1] += alpha
+        self._factor = spd_factor(gram)
+
+    def weights(self, i: int, yc: np.ndarray) -> "np.ndarray | None":
+        """Member ``i``'s dual weights for the centered target ``yc``, or
+        ``None`` when its Sherman–Morrison denominator is under
+        :data:`MIN_SM_DENOMINATOR` (the caller fits it on its own)."""
+        u = self._u[i]
+        z = spd_solve(self._factor, u)
+        denominator = 1.0 - u @ z
+        if not denominator >= MIN_SM_DENOMINATOR:
+            return None
+        g = spd_solve(self._factor, yc)
+        return g + z * ((u @ g) / denominator)
+
+    def kernel(self, x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(K, x - mean)`` for rows ``x`` of the full-width design, with
+        ``K = (x - mean) xc^T``: what :meth:`predict` needs, once per row set."""
+        x_centered = x - self._x_mean
+        return x_centered @ self._xc.T, x_centered
+
+    def predict(
+        self, kernel: "tuple[np.ndarray, np.ndarray]", i: int, a: np.ndarray, y_mean: float
+    ) -> np.ndarray:
+        """Member ``i``'s predictions at the rows of ``kernel``."""
+        k, x_centered = kernel
+        return k @ a - x_centered[:, i] * (self._u[i] @ a) + y_mean
+
+    def regressor(self, i: int, a: np.ndarray, y_mean: float) -> RidgeRegressor:
+        """Member ``i``'s fitted :class:`RidgeRegressor` from its weights."""
+        model = RidgeRegressor(alpha=self._alpha)
+        model.coef_ = np.delete(self._u @ a, i)
+        model.intercept_ = float(y_mean - np.delete(self._x_mean, i) @ model.coef_)
+        return model
+
+
 class BatchedRidge:
     """Multi-target ridge: shared gathers and centering, per-member solves.
 
@@ -211,9 +326,7 @@ class BatchedRidge:
     """
 
     def __init__(self, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive; got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = check_alpha(alpha)
 
     def masked_solver(self, x: np.ndarray, *, check: bool = True) -> RidgeMaskedSolver:
         """Shared state for a full-width design whose members take subsets.

@@ -43,20 +43,27 @@ def spd_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float; ``ValueError`` unless it is positive and finite
+    (NaN fits NaN coefficients, infinity all-zero ones)."""
+    alpha = float(alpha)
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite; got {alpha}")
+    return alpha
+
+
 class RidgeRegressor(Regressor):
     """L2-regularized linear least squares with intercept.
 
     Parameters
     ----------
     alpha:
-        Regularization strength (must be positive; the dual form requires
-        an invertible Gram matrix).
+        Regularization strength (must be positive and finite; the dual
+        form requires an invertible Gram matrix).
     """
 
     def __init__(self, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive; got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = check_alpha(alpha)
         self.coef_: "np.ndarray | None" = None
         self.intercept_: float = 0.0
 

@@ -1,4 +1,4 @@
-"""BatchedRidge vs RidgeRegressor: columnwise bitwise equivalence.
+"""BatchedRidge vs RidgeRegressor.
 
 The batched solver shares the row gather, means, and centering of a
 full-width design and factors one Gram per member; the contract (see
@@ -9,12 +9,18 @@ full-width design and factors one Gram per member; the contract (see
 across shapes, regimes (primal d<=n and dual d>n), alphas, and the edge
 cases the engine can feed it (d==0, constant targets, near-singular
 Grams from duplicated columns).
+
+All-others members in the dual regime share one factorization instead
+(``masked_solver(x).solver()``, Sherman–Morrison per member); those fits
+match the same reference to a stated tolerance, and a member whose
+denominator trips the guard is left to its own ``member`` fit.
 """
 
 import numpy as np
 import pytest
 
-from repro.learners.batched import BatchedRidge
+from repro.learners import batched
+from repro.learners.batched import BatchedRidge, all_others_column
 from repro.learners.registry import BATCHED_REGRESSORS
 from repro.learners.ridge import RidgeRegressor
 
@@ -111,12 +117,138 @@ class TestBitwiseProperty:
             assert model.intercept_ == scalar.intercept_
 
 
+def max_relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def all_others_fit(x, i, y, x_holdout, alpha=1.0):
+    """Member ``i``'s (regressor, holdout predictions) from the shared
+    factorization, as the engine computes them; ``None`` if the guard
+    leaves the member to its own fit."""
+    shared = BatchedRidge(alpha).masked_solver(x).solver()
+    y_mean = y.mean()
+    a = shared.weights(i, y - y_mean)
+    if a is None:
+        return None
+    preds = shared.predict(shared.kernel(x_holdout), i, a, y_mean)
+    return shared.regressor(i, a, y_mean), preds
+
+
+class TestAllOthersDual:
+    """Shared-factorization fits against the retired per-member oracle,
+    ``RidgeRegressor.fit(x[:, ids], y)`` with ``ids`` all columns but ``i``."""
+
+    @pytest.mark.parametrize(
+        "column_scale, tolerance",
+        # Over 300 such draws, standardized columns measured <= 7.3e-15
+        # and columns scaled by 10^+-3 <= 2.3e-9 (members under the
+        # guard excluded: the engine fits those on their own).
+        [(None, 1e-12), (3.0, 1e-8)],
+    )
+    def test_matches_the_per_member_oracle(self, column_scale, tolerance):
+        rng = np.random.default_rng(9)
+        solved = 0
+        for _ in range(60):
+            n = int(rng.integers(5, 61))
+            d = int(rng.integers(n + 2, 4 * n + 3))
+            x = rng.normal(size=(n, d))
+            x_holdout = rng.normal(size=(7, d))
+            if column_scale is not None:
+                scales = 10.0 ** rng.uniform(-column_scale, column_scale, size=d)
+                x, x_holdout = x * scales, x_holdout * scales
+            i = int(rng.integers(d))
+            y = rng.normal(size=n)
+            ids = np.delete(np.arange(d), i)
+            oracle = RidgeRegressor(alpha=1.0).fit(x[:, ids], y)
+            fit = all_others_fit(x, i, y, x_holdout)
+            if fit is None:
+                continue
+            solved += 1
+            model, preds = fit
+            assert isinstance(model, RidgeRegressor)
+            assert max_relative_error(model.coef_, oracle.coef_) < tolerance
+            assert abs(model.intercept_ - oracle.intercept_) < tolerance * max(
+                1.0, abs(oracle.intercept_), np.abs(oracle.coef_).max()
+            )
+            want = oracle.predict(x_holdout[:, ids])
+            assert max_relative_error(preds, want) < tolerance
+            # The final predictor and the kernel-form predictions agree.
+            assert max_relative_error(model.predict(x_holdout[:, ids]), preds) < tolerance
+        assert solved >= 50
+
+    def test_weights_do_not_depend_on_other_members(self):
+        """Each member's floats are its own vector ops: solving members in
+        another order, or alone on a fresh factorization, moves no bit."""
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(12, 40))
+        ys = rng.normal(size=(5, 12))
+        ys -= ys.mean(axis=1, keepdims=True)
+        shared = BatchedRidge(1.0).masked_solver(x).solver()
+        forward = [shared.weights(i, ys[i]) for i in range(5)]
+        backward = [shared.weights(i, ys[i]) for i in reversed(range(5))][::-1]
+        for i in range(5):
+            alone = BatchedRidge(1.0).masked_solver(x).solver().weights(i, ys[i])
+            np.testing.assert_array_equal(forward[i], backward[i])
+            np.testing.assert_array_equal(forward[i], alone)
+
+    def test_primal_designs_have_no_shared_solver(self):
+        rng = np.random.default_rng(11)
+        assert BatchedRidge(1.0).masked_solver(rng.normal(size=(20, 21))).solver() is None
+        assert BatchedRidge(1.0).masked_solver(rng.normal(size=(20, 22))).solver() is not None
+
+    def test_guard_leaves_a_tiny_denominator_to_the_member_fit(self, monkeypatch):
+        """A dropped column far larger than alpha drives 1 - u^T G^-1 u
+        under the guard: no shared weights for that member (the engine
+        then fits it through ``member``, bitwise the oracle), shared
+        weights for the rest. With the guard off, the rank-one update
+        loses the digits the guard keeps."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(10, 30))
+        x[:, 4] *= 1e5
+        y = rng.normal(size=10)
+        assert all_others_fit(x, 4, y, x) is None
+        assert all_others_fit(x, 5, y, x) is not None
+        ids = np.delete(np.arange(30), 4)
+        oracle = RidgeRegressor(alpha=1.0).fit(x[:, ids].copy(order="C"), y)
+        fallback = BatchedRidge(1.0).masked_solver(x).member(ids).fit_column(y)
+        np.testing.assert_array_equal(fallback.coef_, oracle.coef_)
+        assert fallback.intercept_ == oracle.intercept_
+        monkeypatch.setattr(batched, "MIN_SM_DENOMINATOR", 0.0)
+        unguarded, _ = all_others_fit(x, 4, y, x)
+        assert max_relative_error(unguarded.coef_, oracle.coef_) > 1e-8
+
+
+class TestAllOthersColumn:
+    def test_detects_the_dropped_column(self):
+        for i in range(6):
+            assert all_others_column(np.delete(np.arange(6), i), 6) == i
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [0, 1, 2],  # too short
+            [0, 1, 2, 3, 4, 5],  # every column
+            [0, 0, 3, 4, 5],  # length and sum of "all but 3", with a duplicate
+            [1, 0, 2, 3, 4],  # unsorted
+            [0, 1, 2, 4, 8],  # out of range
+            [],
+        ],
+    )
+    def test_rejects_other_subsets(self, ids):
+        assert all_others_column(np.asarray(ids, dtype=np.intp), 6) is None
+
+
 class TestValidation:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError, match="alpha"):
             BatchedRidge(alpha=0.0)
         with pytest.raises(ValueError, match="alpha"):
             BatchedRidge(alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            BatchedRidge(alpha=alpha)
 
     def test_nan_design_rejected(self):
         x = np.ones((5, 2))

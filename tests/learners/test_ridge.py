@@ -59,6 +59,12 @@ class TestRidge:
         with pytest.raises(ValueError):
             RidgeRegressor(alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, alpha):
+        # NaN used to fit NaN coefficients silently, and inf all-zero ones.
+        with pytest.raises(ValueError, match="alpha"):
+            RidgeRegressor(alpha=alpha)
+
     def test_unfitted(self):
         with pytest.raises(NotFittedError):
             RidgeRegressor().predict(np.zeros((1, 1)))
