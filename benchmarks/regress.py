@@ -1,251 +1,184 @@
-"""Perf-regression gate: price a run against its committed trajectory.
+"""Perf-regression gate: a candidate checkout against a base checkout on ``bench/``.
 
-The FRaC idea turned on the repo's own perf data (Hyndman & Frazier,
-*Anomaly detection using surprisals*): instead of a fixed percentage
-cutoff, each benchmark metric is judged against the distribution carried
-by its own committed ``BENCH_*.json`` trajectory. The gate compares the
-**candidate** entry (by default the trajectory's last) against the
-**baseline** entry (by default the fastest predecessor — the best point
-of the trajectory, so the hard-won speedups cannot silently erode):
+Usage::
 
-1. matched per-dataset rows (same ``data_set``, not ``estimated``,
-   positive ``time_s``) yield log-ratios ``r_i = log(t_cand / t_base)``
-   — symmetric, so a 2x slowdown and a 2x speedup are equidistant
-   from 0;
-2. a :class:`~repro.errormodels.gaussian.GaussianErrorModel` is fit to
-   the ratios' spread around their own mean (sigma floored, exactly as
-   FRaC floors per-feature residual scales), calibrating how noisy this
-   workload's per-dataset timings are;
-3. the verdict is the surprisal of the observed mean ratio under the
-   null "no change" model ``N(0, sigma/sqrt(n))``: **regression** iff
-   the mean is positive and its surprisal exceeds the surprisal at
-   ``z = Z_CRIT`` (default 3 — the conventional three-sigma gate).
+    python benchmarks/regress.py BASE_CHECKOUT CANDIDATE_CHECKOUT
 
-With fewer than :data:`MIN_MATCHED_ROWS` matched rows the gate falls
-back to the headline ``wall_s`` ratio against the same fixed band the
-trace diff uses (``repro.telemetry.diff.RATIO_THRESHOLD``).
+Both paths are source checkouts of this repository. The gate reads the
+benchmark's driver command, run length, workloads and end-to-end metrics
+with their bounds from the **base** checkout's ``BENCHMARK.json``, so a
+change cannot loosen the bounds it is judged by. For :data:`PAIRS` pairs
+it runs, for every workload::
 
-Exit codes: 0 = pass, 1 = regression, 2 = unusable input. CI runs this
-as a blocking check against ``benchmarks/results/BENCH_table2.json``::
+    <command> --workload W --seed p --seconds <run_seconds> --trace 0
 
-    PYTHONPATH=src python benchmarks/regress.py benchmarks/results/BENCH_table2.json
+once in each checkout (``cwd`` set to it; pair ``p`` uses seed ``p`` on
+both sides, and the base side goes first in even pairs and second in odd
+ones), and parses the last stdout line, ``{"correct", "attempted",
+"failed", "metrics"}``. Each (workload, metric) then compares the base
+median ``p`` with the candidate median ``c``:
+
+- ``worse`` is ``(c - p) / p`` for a lower-is-better metric and
+  ``(p - c) / p`` for a higher-is-better one;
+- ``spread`` is the base runs' interquartile range over ``p``;
+- **REGRESSION** when ``worse > bound`` and ``spread <= bound``;
+  **unresolved** when ``spread > bound``, unless every candidate run beats
+  every base run; **ok** otherwise.
+
+Per workload, a candidate whose share of failed ops is larger than the
+base's, or a candidate run that printed no result, is a REGRESSION too.
+
+Exit codes: 0 = no regression (unresolved metrics are printed but do not
+block), 1 = regression, 2 = unusable input (a missing checkout or
+``BENCHMARK.json``, or a base run with no result).
+
+Stdlib only, and it imports neither ``repro`` nor ``bench/``: each side's
+driver imports its own checkout's code.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import math
+import statistics
+import subprocess
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from repro.errormodels.gaussian import GaussianErrorModel
-from repro.telemetry.diff import RATIO_THRESHOLD
-
-#: Three-sigma gate: the mean log-ratio must be this surprising (in
-#: standard-error units under the calibrated null) to fail the build.
-Z_CRIT = 3.0
-
-#: Floor on the calibrated per-dataset ratio sigma. A trajectory whose
-#: matched rows moved in perfect lockstep (the synthetic-slowdown case)
-#: would otherwise claim infinite confidence from zero variance.
-SIGMA_FLOOR = 0.05
-
-#: Below this many matched per-dataset rows the surprisal calibration is
-#: meaningless; fall back to the fixed wall-ratio band.
-MIN_MATCHED_ROWS = 3
-
-_LOG_2PI = math.log(2.0 * math.pi)
+#: Alternating base/candidate pairs per workload; pair p runs seed p.
+PAIRS = 10
 
 
-class RegressError(Exception):
-    """The trajectory file cannot support a verdict."""
+class GateError(Exception):
+    """The input cannot support a verdict."""
 
 
-@dataclass
-class GateResult:
-    """One gate evaluation, ready to render or assert against."""
-
-    candidate: str
-    baseline: str
-    matched: list = field(default_factory=list)  # (data_set, t_base, t_cand, r)
-    mean_ratio: "float | None" = None  # mean log-ratio
-    sigma: "float | None" = None  # calibrated per-dataset sigma
-    sem: "float | None" = None  # sigma / sqrt(n)
-    surprisal: "float | None" = None  # of the mean under the null
-    threshold: "float | None" = None  # surprisal at z = Z_CRIT
-    wall_ratio: "float | None" = None  # candidate wall_s / baseline wall_s
-    mode: str = "surprisal"  # "surprisal" | "wall-band"
-    regressed: bool = False
+def load_benchmark(checkout: Path) -> dict:
+    path = checkout / "BENCHMARK.json"
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise GateError(f"cannot read {path}: {exc}") from None
 
 
-def _entry(trajectory: dict, label: str) -> dict:
-    for entry in trajectory.get("entries", []):
-        if entry.get("label") == label:
-            return entry
-    raise RegressError(f"no trajectory entry labelled {label!r}")
+def run_driver(command: list, checkout: Path, workload: str, seed: int, seconds: float) -> "dict | None":
+    """One driver run in ``checkout``; its parsed result line, or ``None``."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        if {"attempted", "failed", "metrics"} <= result.keys():
+            return result
+    except (IndexError, ValueError, AttributeError):
+        pass
+    tail = out.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
+    print(f"  {checkout} {workload} seed {seed}: no result, exit {out.returncode}: {tail[0]}",
+          file=sys.stderr)
+    return None
 
 
-def _matched_rows(base: dict, cand: dict) -> list:
-    by_name = {
-        row["data_set"]: row
-        for row in base.get("rows", [])
-        if not row.get("estimated") and (row.get("time_s") or 0) > 0
-    }
-    matched = []
-    for row in cand.get("rows", []):
-        if row.get("estimated") or (row.get("time_s") or 0) <= 0:
+def _spread(values: list, median: float) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / median
+
+
+def judge(end_to_end: list, workload: str, base: list, cand: list) -> list:
+    """Verdict rows for one workload.
+
+    ``end_to_end`` is the ``BENCHMARK.json`` list of metrics; ``base`` and
+    ``cand`` are the parsed result lines of the pairs, ``None`` where a
+    run printed none. Each row is a dict with ``workload``, ``metric``,
+    ``base``, ``cand``, ``spread``, ``worse``, ``verdict`` and ``note``.
+    """
+    if not base or any(r is None for r in base):
+        raise GateError(f"{workload}: a base run printed no result")
+    parsed = [r for r in cand if r is not None]
+    rows = []
+    for spec in end_to_end:
+        name, bound = spec["name"], spec["bound"]
+        b = [r["metrics"][name]["value"] for r in base]
+        c = [r["metrics"][name]["value"] for r in parsed if name in r["metrics"]]
+        p = statistics.median(b)
+        if p <= 0:
+            raise GateError(f"{workload} {name}: base median {p} is not positive")
+        spread = _spread(b, p)
+        row = {"workload": workload, "metric": name, "base": p, "cand": None,
+               "spread": spread, "worse": None, "verdict": "REGRESSION", "note": ""}
+        rows.append(row)
+        if not c:
+            row["note"] = "no candidate value"
             continue
-        ref = by_name.get(row["data_set"])
-        if ref is None:
-            continue
-        ratio = math.log(row["time_s"] / ref["time_s"])
-        matched.append((row["data_set"], ref["time_s"], row["time_s"], ratio))
-    return sorted(matched)
+        row["cand"] = m = statistics.median(c)
+        lower = spec["better"] == "lower"
+        row["worse"] = worse = (m - p) / p if lower else (p - m) / p
+        beats = max(c) < min(b) if lower else min(c) > max(b)
+        if spread > bound and not beats:
+            row["verdict"] = "unresolved"
+        elif worse <= bound or spread > bound:
+            row["verdict"] = "ok"
+
+    def fail_share(results):
+        attempted = sum(r["attempted"] for r in results)
+        return sum(r["failed"] for r in results) / attempted if attempted else 0.0
+
+    p, c = fail_share(base), fail_share(parsed)
+    missing = len(cand) - len(parsed)
+    rows.append({
+        "workload": workload, "metric": "fail_rate", "base": p, "cand": c,
+        "spread": None, "worse": c - p,
+        "verdict": "REGRESSION" if c > p or missing else "ok",
+        "note": f"{missing} candidate run(s) without a result" if missing else "",
+    })
+    return rows
 
 
-def _null_surprisal(value: float, sem: float) -> float:
-    """Surprisal of ``value`` under the no-change null ``N(0, sem)``."""
-    z = value / sem
-    return 0.5 * z * z + math.log(sem) + 0.5 * _LOG_2PI
+def render(rows: list) -> str:
+    def cell(x, spec, width):
+        return f"{'-' if x is None else format(x, spec):>{width}s}"
 
-
-def evaluate(
-    trajectory: dict,
-    *,
-    candidate: "str | None" = None,
-    baseline: "str | None" = None,
-    z_crit: float = Z_CRIT,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> GateResult:
-    """Price the candidate entry against the trajectory's baseline."""
-    entries = trajectory.get("entries", [])
-    if not entries:
-        raise RegressError("trajectory has no entries")
-    cand = _entry(trajectory, candidate) if candidate else entries[-1]
-    if baseline:
-        base = _entry(trajectory, baseline)
-        if base is cand:
-            raise RegressError("baseline and candidate are the same entry")
-    else:
-        others = [e for e in entries if e is not cand]
-        if not others:
-            raise RegressError(
-                "trajectory has a single entry; nothing to compare against"
-            )
-        # The fastest committed predecessor: the point the gate defends.
-        base = min(others, key=lambda e: e.get("wall_s", float("inf")))
-
-    result = GateResult(
-        candidate=cand.get("label", "?"), baseline=base.get("label", "?")
-    )
-    base_wall, cand_wall = base.get("wall_s", 0.0), cand.get("wall_s", 0.0)
-    if base_wall > 0 and cand_wall > 0:
-        result.wall_ratio = cand_wall / base_wall
-
-    result.matched = _matched_rows(base, cand)
-    ratios = np.array([r for *_, r in result.matched], dtype=np.float64)
-    if len(ratios) < MIN_MATCHED_ROWS:
-        if result.wall_ratio is None:
-            raise RegressError(
-                f"only {len(ratios)} matched row(s) and no usable wall_s; "
-                f"cannot price {result.candidate!r} against {result.baseline!r}"
-            )
-        result.mode = "wall-band"
-        result.regressed = result.wall_ratio > RATIO_THRESHOLD
-        return result
-
-    mean = float(ratios.mean())
-    model = GaussianErrorModel(sigma_floor=sigma_floor)
-    model.fit(np.full(ratios.shape, mean), ratios)  # sigma of the spread
-    result.mean_ratio = mean
-    result.sigma = model.sigma_
-    result.sem = model.sigma_ / math.sqrt(len(ratios))
-    result.surprisal = _null_surprisal(mean, result.sem)
-    result.threshold = _null_surprisal(z_crit * result.sem, result.sem)
-    result.regressed = mean > 0.0 and result.surprisal > result.threshold
-    return result
-
-
-def render_gate(result: GateResult) -> str:
-    """Deterministic text rendering of a :class:`GateResult`."""
-    lines = [
-        f"perf gate: candidate={result.candidate}  baseline={result.baseline}"
-    ]
-    if result.wall_ratio is not None:
-        if result.wall_ratio <= 1.0:
-            headline = f"{1.0 / result.wall_ratio:.2f}x faster"
-        else:
-            headline = f"{result.wall_ratio:.2f}x slower"
-        lines.append(f"  headline wall: candidate is {headline} than baseline")
-    if result.mode == "wall-band":
-        lines.append(
-            f"  mode: wall-ratio band (+/-{100.0 * (RATIO_THRESHOLD - 1.0):.0f}%)"
-            f" — too few matched rows for surprisal calibration"
-        )
-    else:
-        lines.append(
-            f"  {len(result.matched)} matched per-dataset row(s); per-dataset"
-            f" log-ratios (log t_cand/t_base):"
-        )
-        for data_set, t_base, t_cand, ratio in result.matched:
-            lines.append(
-                f"    {data_set}: {t_base:.3f}s -> {t_cand:.3f}s"
-                f"  (log-ratio {ratio:+.3f})"
-            )
-        lines.append(
-            f"  mean log-ratio {result.mean_ratio:+.4f}"
-            f"  sigma {result.sigma:.4f}  sem {result.sem:.4f}"
-        )
-        lines.append(
-            f"  surprisal of mean under no-change null: {result.surprisal:.3f}"
-            f"  (gate at z={Z_CRIT:.1f}: {result.threshold:.3f})"
-        )
-    lines.append("verdict: " + ("REGRESSION" if result.regressed else "pass"))
+    lines = [f"{'workload':14s} {'metric':20s} {'base':>11s} {'cand':>11s} "
+             f"{'spread':>7s} {'worse':>7s}  verdict"]
+    for r in rows:
+        line = (f"{r['workload']:14s} {r['metric']:20s} {cell(r['base'], '.4g', 11)} "
+                f"{cell(r['cand'], '.4g', 11)} {cell(r['spread'], '.1%', 7)} "
+                f"{cell(r['worse'], '+.1%', 7)}  {r['verdict']}")
+        lines.append(f"{line}  ({r['note']})" if r["note"] else line)
     return "\n".join(lines)
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="benchmarks/regress.py",
-        description="Surprisal-calibrated perf-regression gate over a "
-        "committed BENCH_*.json trajectory.",
-    )
-    parser.add_argument("trajectory", help="BENCH_*.json trajectory file")
-    parser.add_argument("--candidate", default="",
-                        help="entry label to judge (default: last entry)")
-    parser.add_argument("--baseline", default="",
-                        help="entry label to judge against (default: fastest "
-                             "other entry)")
-    parser.add_argument("--z-crit", type=float, default=Z_CRIT,
-                        help=f"gate z-score (default {Z_CRIT})")
-    parser.add_argument("--sigma-floor", type=float, default=SIGMA_FLOOR,
-                        help=f"floor on the calibrated ratio sigma "
-                             f"(default {SIGMA_FLOOR})")
-    args = parser.parse_args(argv)
-
-    path = Path(args.trajectory)
-    try:
-        trajectory = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read trajectory {path}: {exc}", file=sys.stderr)
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python benchmarks/regress.py BASE_CHECKOUT CANDIDATE_CHECKOUT",
+              file=sys.stderr)
         return 2
+    base_dir, cand_dir = (Path(a).resolve() for a in args)
     try:
-        result = evaluate(
-            trajectory,
-            candidate=args.candidate or None,
-            baseline=args.baseline or None,
-            z_crit=args.z_crit,
-            sigma_floor=args.sigma_floor,
-        )
-    except RegressError as exc:
+        for checkout in (base_dir, cand_dir):
+            if not checkout.is_dir():
+                raise GateError(f"no checkout at {checkout}")
+        spec = load_benchmark(base_dir)
+        workloads = [w["name"] for w in spec["workloads"]]
+        runs = {w: ([], []) for w in workloads}
+        for pair in range(PAIRS):
+            for workload in workloads:
+                sides = [(base_dir, 0), (cand_dir, 1)]
+                for checkout, side in sides if pair % 2 == 0 else sides[::-1]:
+                    result = run_driver(spec["command"], checkout, workload, pair,
+                                        spec["run_seconds"])
+                    if result is None and side == 0:
+                        raise GateError(f"{workload}: base run {pair} printed no result")
+                    runs[workload][side].append(result)
+            print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr)
+        rows = [row for w in workloads for row in judge(spec["end_to_end"], w, *runs[w])]
+    except GateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_gate(result))
-    return 1 if result.regressed else 0
+    print(render(rows))
+    return 1 if any(r["verdict"] == "REGRESSION" for r in rows) else 0
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -70,8 +71,11 @@ class FRaCConfig:
             raise DataError(f"n_predictors must be >= 1; got {self.n_predictors}")
         if self.min_observed < 2:
             raise DataError(f"min_observed must be >= 2; got {self.min_observed}")
-        if self.sigma_floor <= 0:
-            raise DataError(f"sigma_floor must be positive; got {self.sigma_floor}")
+        # NaN fails every comparison, so a `<= 0` test would let it through.
+        for name in ("sigma_floor", "confusion_smoothing"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DataError(f"{name} must be positive and finite; got {value}")
 
     @classmethod
     def paper_expression(cls, **overrides) -> "FRaCConfig":

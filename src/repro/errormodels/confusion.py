@@ -30,8 +30,8 @@ class ConfusionErrorModel(ErrorModel):
     def __init__(self, arity: int, smoothing: float = 1.0) -> None:
         if arity < 2:
             raise DataError(f"arity must be >= 2; got {arity}")
-        if smoothing <= 0:
-            raise DataError(f"smoothing must be positive; got {smoothing}")
+        if not 0 < smoothing < np.inf:
+            raise DataError(f"smoothing must be positive and finite; got {smoothing}")
         self.arity = int(arity)
         self.smoothing = float(smoothing)
         self.log_prob_: "np.ndarray | None" = None  # (arity, arity): [pred, truth]

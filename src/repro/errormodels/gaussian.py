@@ -29,8 +29,8 @@ class GaussianErrorModel(ErrorModel):
     """``truth - prediction ~ N(mu, sigma^2)``, fit by moments."""
 
     def __init__(self, sigma_floor: float = SIGMA_FLOOR) -> None:
-        if sigma_floor <= 0:
-            raise ValueError(f"sigma_floor must be positive; got {sigma_floor}")
+        if not 0 < sigma_floor < np.inf:
+            raise ValueError(f"sigma_floor must be positive and finite; got {sigma_floor}")
         self.sigma_floor = float(sigma_floor)
         self.mu_: "float | None" = None
         self.sigma_: "float | None" = None

@@ -39,7 +39,7 @@ from repro.telemetry.trace import (
 )
 
 #: A population's wall ratio must leave [1/RATIO_THRESHOLD, RATIO_THRESHOLD]
-#: to count as changed. Shared with the regression gate's fallback band.
+#: to count as changed.
 RATIO_THRESHOLD = 1.10
 
 

@@ -26,6 +26,14 @@ class TestFRaCConfig:
         with pytest.raises(DataError):
             FRaCConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["sigma_floor", "confusion_smoothing"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_error_model_params_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(DataError, match=name):
+            FRaCConfig(**{name: value})
+        with pytest.raises(DataError, match=name):
+            FRaCConfig.fast(**{name: value})
+
     def test_paper_constructors(self):
         assert FRaCConfig.paper_expression().regressor == "linear_svr"
         assert FRaCConfig.paper_snp().classifier == "tree"

@@ -36,6 +36,15 @@ class TestFit:
         with pytest.raises(DataError):
             ConfusionErrorModel(**kw)
 
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf, 0.0, -0.5])
+    def test_smoothing_must_be_positive_and_finite(self, smoothing):
+        with pytest.raises(DataError):
+            ConfusionErrorModel(3, smoothing=smoothing)
+        with pytest.raises(DataError):
+            ConfusionErrorModel.batch_fit(
+                np.zeros((1, 4)), np.zeros((1, 4)), [3], smoothing=smoothing
+            )
+
 
 class TestSurprisal:
     def test_agreement_less_surprising_than_disagreement(self):

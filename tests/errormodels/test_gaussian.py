@@ -34,6 +34,15 @@ class TestFit:
         with pytest.raises(ValueError):
             GaussianErrorModel(sigma_floor=0.0)
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
+    def test_floor_must_be_positive_and_finite(self, floor):
+        # A NaN floor used to pass `<= 0` and fit sigma_ = 0 on perfect
+        # predictions, scoring NaN surprisals.
+        with pytest.raises(ValueError):
+            GaussianErrorModel(sigma_floor=floor)
+        with pytest.raises(ValueError):
+            GaussianErrorModel.batch_fit(np.zeros((2, 3)), np.zeros((2, 3)), sigma_floor=floor)
+
 
 class TestSurprisal:
     def test_matches_closed_form(self):
