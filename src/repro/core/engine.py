@@ -398,10 +398,12 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
       its own ``np.ix_`` design gather.
 
     The tail after that — error models, entropies, CV mean surprisals —
-    is one batched call each per target kind, bitwise equal to the
-    per-member call (see the ``batch_*`` functions of
-    :mod:`repro.errormodels`). Members share their rows by construction,
-    so the under-``min_observed`` check decides once for the whole group.
+    is one batched call each on the member-major ``(k, n)`` stacks
+    ``preds`` / ``ys``, bitwise equal per member to the reference
+    implementations in ``tests/errormodels/reference.py`` (see the
+    ``batch_*`` functions of :mod:`repro.errormodels`). Members share
+    their rows by construction, so the under-``min_observed`` check
+    decides once for the whole group.
 
     Each execution is bracketed by a ``fit.batch`` span whose attrs carry
     the batch size and the planner's group fingerprint, so a trace alone
@@ -450,15 +452,16 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
                 preds, refit = _fit_real_group(batch, cfg, x_full, ys, ids_list, folds)
         if categorical:
             arities = [shared.schema[task.feature_id].arity for task in batch.tasks]
-            error_models = ConfusionErrorModel.batch_fit(
+            error_type = ConfusionErrorModel
+            error_models = error_type.batch_fit(
                 preds, ys, arities, smoothing=cfg.confusion_smoothing
             )
             entropies = batch_discrete_entropy(ys, arities)
-            cv_means = ConfusionErrorModel.batch_mean_surprisal(error_models, preds, ys)
         else:
-            error_models = GaussianErrorModel.batch_fit(preds, ys, sigma_floor=cfg.sigma_floor)
+            error_type = GaussianErrorModel
+            error_models = error_type.batch_fit(preds, ys, sigma_floor=cfg.sigma_floor)
             entropies = batch_entropy(ys)
-            cv_means = GaussianErrorModel.batch_mean_surprisal(error_models, preds, ys)
+        cv_means = error_type.batch_surprisal(error_models, preds, ys).mean(axis=1)
         shared_cpu = cpu_seconds() - start
         out: "list[tuple[FeatureModel, TaskCost] | None]" = []
         for j, task in enumerate(batch.tasks):
@@ -785,27 +788,25 @@ def gather_surprisals(
 ) -> None:
     """Batched masked scoring, written into ``out`` in place.
 
-    The per-model gather loop this replaces made seventeen-odd numpy
-    dispatches per feature model (mask, row copy, ``predict``
-    validation, scalar surprisal) on arrays small enough that dispatch
-    dominated. The batched path (ROADMAP Open
-    item 1, scoring half) groups models by (observed-mask bytes, error-
-    model type) and amortizes everything the group shares — the mask, the
-    truth gather, the surprisal math (one
-    :meth:`~repro.errormodels.base.ErrorModel.batch_surprisal` call), the
-    entropy subtraction, and the masked scatter — while keeping the
-    result bitwise equal to the scalar loop (kept as the test oracle
+    Models are grouped by (observed-mask bytes, error-model type), and
+    everything a group shares is done once: the mask, the truth gather,
+    the surprisal math (one member-major
+    :meth:`~repro.errormodels.base.ErrorModel.batch_surprisal` call on
+    ``(k, n_rows)`` stacks), the entropy subtraction, and the masked
+    scatter of the transposed result. The contributions are bitwise equal
+    to the per-model loop with the reference surprisals of
+    ``tests/errormodels/reference.py`` (the test oracle
     ``reference_gather_surprisals`` in tests/core/test_batched_scoring.py):
 
-    - gathers and scatters are pure copies;
+    - gathers, transposes and scatters are pure copies;
     - linear predictions stay one gemv *per model* — stacking coefficient
       vectors into one GEMM is **not** columnwise bit-identical to the
       per-model gemv (measured; docs/performance.md) — but skip
       ``predict``'s re-validation scan, which is a bitwise no-op;
-    - batched surprisal broadcasts per-model rows through the same
-      elementwise ops the scalar path runs, with per-model scalar
-      ``np.log`` replay where SIMD would move a bit;
-    - subtracting a per-model entropy row is elementwise identical to
+    - batched surprisal broadcasts per-model scalars through the same
+      elementwise ops as the reference, with per-model scalar ``np.log``
+      where SIMD would move a bit;
+    - subtracting a per-model entropy column is elementwise identical to
       subtracting each scalar.
     """
     groups: "dict[tuple[bytes, type], list[int]]" = {}
@@ -825,8 +826,8 @@ def gather_surprisals(
         feat = np.fromiter(
             (models[t].feature_id for t in cols), dtype=np.intp, count=len(cols)
         )
-        truths = x_test_targets[:, feat] if full else x_test_targets[np.ix_(rows, feat)]
-        preds = np.empty((len(rows), len(cols)))
+        truths = x_test_targets.T[feat] if full else x_test_targets.T[np.ix_(feat, rows)]
+        preds = np.empty((len(cols), len(rows)))
         for j, t in enumerate(cols):
             fm = models[t]
             # ascontiguousarray: the reference loop gathered with np.ix_
@@ -837,9 +838,9 @@ def gather_surprisals(
             if type(predictor) is RidgeRegressor:
                 # The gemv predict() runs, minus its isfinite re-scan of
                 # rows already validated at fit/impute time.
-                preds[:, j] = x_member @ predictor.coef_ + predictor.intercept_
+                preds[j] = x_member @ predictor.coef_ + predictor.intercept_
             else:
-                preds[:, j] = predictor.predict(x_member)
+                preds[j] = predictor.predict(x_member)
         error_type = key[1]
         surprisal = error_type.batch_surprisal(
             [models[t].error_model for t in cols], preds, truths
@@ -847,9 +848,9 @@ def gather_surprisals(
         entropy = np.array([models[t].entropy for t in cols])
         cols_arr = np.asarray(cols, dtype=np.intp)
         if full:
-            out[:, cols_arr] = surprisal - entropy
+            out[:, cols_arr] = (surprisal - entropy[:, None]).T
         else:
-            out[np.ix_(rows, cols_arr)] = surprisal - entropy
+            out[np.ix_(rows, cols_arr)] = (surprisal - entropy[:, None]).T
 
 
 def score_contributions(

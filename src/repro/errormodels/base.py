@@ -17,7 +17,14 @@ import numpy as np
 
 
 class ErrorModel(ABC):
-    """Estimates ``P(observed value | predicted value)``."""
+    """Estimates ``P(observed value | predicted value)``.
+
+    Each concrete model computes its surprisal once, in
+    :meth:`batch_surprisal` over member-major stacks; :meth:`surprisal` is
+    that call on a batch of one. The per-model reference bodies the batch
+    forms are held to, bit for bit, are the test oracles in
+    ``tests/errormodels/reference.py``.
+    """
 
     @abstractmethod
     def fit(self, predictions: np.ndarray, truths: np.ndarray) -> "ErrorModel":
@@ -28,25 +35,17 @@ class ErrorModel(ABC):
         """``-ln P(truth_i | prediction_i)`` per element (vectorized)."""
 
     @classmethod
+    @abstractmethod
     def batch_surprisal(
         cls, models: "list[ErrorModel]", predictions: np.ndarray, truths: np.ndarray
     ) -> np.ndarray:
-        """Column-wise surprisal for a group of fitted models.
+        """Surprisal of a group of fitted models, member-major.
 
-        ``predictions`` and ``truths`` are ``(n, k)`` matrices whose column
-        ``j`` belongs to ``models[j]``. The contract is **bitwise**: column
-        ``j`` of the result equals ``models[j].surprisal(predictions[:, j],
-        truths[:, j])`` exactly (``np.array_equal``). This default replays
-        the scalar call per column — the safe fallback for any error model;
-        subclasses override it only where the math vectorizes without
-        moving a bit (see :class:`~repro.errormodels.gaussian.
-        GaussianErrorModel` and :class:`~repro.errormodels.confusion.
-        ConfusionErrorModel`).
+        ``predictions`` and ``truths`` are ``(k, n)`` stacks whose row
+        ``j`` belongs to ``models[j]``; row ``j`` of the C-contiguous
+        result is ``-ln P(truths[j] | predictions[j])`` under
+        ``models[j]``.
         """
-        out = np.empty(predictions.shape, dtype=np.float64)
-        for j, model in enumerate(models):
-            out[:, j] = model.surprisal(predictions[:, j], truths[:, j])
-        return out
 
     @property
     def model_nbytes(self) -> int:

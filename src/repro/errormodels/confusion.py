@@ -37,35 +37,17 @@ class ConfusionErrorModel(ErrorModel):
         self.log_prob_: "np.ndarray | None" = None  # (arity, arity): [pred, truth]
         self.counts_: "np.ndarray | None" = None
 
-    def _codes(self, values: np.ndarray, name: str) -> np.ndarray:
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        codes = np.rint(arr).astype(np.intp)
-        # A prediction is produced by a classifier over the same codes, so
-        # out-of-range values indicate a wiring bug, not bad data.
-        if codes.size and (codes.min() < 0 or codes.max() >= self.arity):
-            raise DataError(f"{name} contains codes outside [0, {self.arity})")
-        return codes
-
     def fit(self, predictions: np.ndarray, truths: np.ndarray) -> "ConfusionErrorModel":
-        pred = self._codes(predictions, "predictions")
-        true = self._codes(truths, "truths")
-        check_consistent_length(pred, true)
-        if pred.size == 0:
-            raise FitError("cannot fit a confusion error model on zero holdout pairs")
-        counts = np.zeros((self.arity, self.arity), dtype=np.float64)
-        np.add.at(counts, (pred, true), 1.0)
-        self.counts_ = counts
-        smoothed = counts + self.smoothing
-        # Positive by construction: every cell is counts + smoothing with
-        # smoothing validated > 0 in __init__, so each ratio is in (0, 1].
-        self.log_prob_ = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))  # fraclint: disable=FRL003
+        p, t = np.ravel(predictions), np.ravel(truths)
+        check_consistent_length(p, t)
+        (fitted,) = self.batch_fit(p[None], t[None], [self.arity], smoothing=self.smoothing)
+        self.counts_, self.log_prob_ = fitted.counts_, fitted.log_prob_
         return self
 
     def surprisal(self, predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
         check_fitted(self, "log_prob_")
-        pred = self._codes(predictions, "predictions")
-        true = self._codes(truths, "truths")
-        return -self.log_prob_[pred, true]
+        p, t = np.ravel(predictions), np.ravel(truths)
+        return self.batch_surprisal([self], p[None], t[None])[0]
 
     @classmethod
     def batch_fit(
@@ -78,12 +60,13 @@ class ConfusionErrorModel(ErrorModel):
     ) -> "list[ConfusionErrorModel]":
         """Fit one model per row of stacked ``(k, n)`` holdout pairs.
 
-        Bitwise equal to ``ConfusionErrorModel(arities[j], smoothing).fit``
-        on row ``j``: one ``bincount`` counts every member's (prediction,
+        Bitwise equal to the per-row reference fit
+        (``tests/errormodels/reference.py``) of row ``j`` at
+        ``arities[j]``: one ``bincount`` counts every member's (prediction,
         truth) pairs (exact small integers), the smoothing and the row
         normalization are elementwise and length-``arity`` row sums, and
         ``np.log`` runs per member on the ``(arity, arity)`` table the
-        scalar fit logs, so no SIMD lane layout can move a bit.
+        reference logs, so no SIMD lane layout can move a bit.
         """
         models = [cls(arity, smoothing=smoothing) for arity in arities]
         predictions = np.asarray(predictions, dtype=np.float64)
@@ -119,55 +102,32 @@ class ConfusionErrorModel(ErrorModel):
         return models
 
     @classmethod
-    def batch_mean_surprisal(
+    def batch_surprisal(
         cls, models: "list[ConfusionErrorModel]", predictions: np.ndarray, truths: np.ndarray
     ) -> np.ndarray:
-        """Row-wise mean surprisal of stacked ``(k, n)`` pairs.
+        """Surprisal of member-major ``(k, n)`` stacks: row ``j`` is ``models[j]``'s.
 
-        Bitwise equal to ``models[j].surprisal(p_row, t_row).mean()``: the
-        surprisal is a table gather (tables of smaller arity are zero
-        padded; valid codes never read the padding), and the mean of a
-        contiguous row runs the 1-D pairwise kernel.
+        Bitwise equal, row by row, to the per-model reference surprisal
+        (``tests/errormodels/reference.py``): surprisal is a pure table
+        gather (code rounding + advanced indexing, no float arithmetic),
+        here from the members' ``log_prob_`` tables zero padded to the
+        widest arity (valid codes never read the padding). The gathered
+        stack is C-contiguous, so ``.mean(axis=1)`` runs each row's 1-D
+        pairwise kernel.
         """
         for model in models:
             check_fitted(model, "log_prob_")
-        width = max(model.arity for model in models)
+        arity = np.array([model.arity for model in models])
+        width = int(arity.max())
         tables = np.zeros((len(models), width, width))
         for j, model in enumerate(models):
             tables[j, : model.arity, : model.arity] = model.log_prob_
         pred = np.rint(np.asarray(predictions, dtype=np.float64)).astype(np.intp)
         true = np.rint(np.asarray(truths, dtype=np.float64)).astype(np.intp)
-        arity = np.array([model.arity for model in models])[:, None]
         for name, codes in (("predictions", pred), ("truths", true)):
-            if (codes < 0).any() or (codes >= arity).any():
+            if (codes < 0).any() or (codes >= arity[:, None]).any():
                 raise DataError(f"{name} contains codes outside [0, arity)")
-        surprisal = -tables[np.arange(len(models))[:, None], pred, true]
-        return surprisal.mean(axis=1)
-
-    @classmethod
-    def batch_surprisal(
-        cls, models: "list[ConfusionErrorModel]", predictions: np.ndarray, truths: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized column-wise surprisal, bitwise equal to the scalar path.
-
-        Surprisal here is a pure table gather (code rounding + advanced
-        indexing, no float arithmetic), so stacking the ``log_prob_``
-        tables and gathering once is trivially bit-identical. Mixed-arity
-        groups fall back to the per-column base implementation — their
-        tables cannot stack.
-        """
-        if not models or any(m.arity != models[0].arity for m in models):
-            return super().batch_surprisal(models, predictions, truths)
-        for model in models:
-            check_fitted(model, "log_prob_")
-        arity = models[0].arity
-        pred = np.rint(np.asarray(predictions, dtype=np.float64)).astype(np.intp)
-        true = np.rint(np.asarray(truths, dtype=np.float64)).astype(np.intp)
-        for name, codes in (("predictions", pred), ("truths", true)):
-            if codes.size and (codes.min() < 0 or codes.max() >= arity):
-                raise DataError(f"{name} contains codes outside [0, {arity})")
-        tables = np.stack([model.log_prob_ for model in models])  # (k, arity, arity)
-        return -tables[np.arange(len(models)), pred, true]
+        return -tables[np.arange(len(models))[:, None], pred, true]
 
     @property
     def model_nbytes(self) -> int:

@@ -3,47 +3,31 @@ criterion of entropy filtering).
 
 Discrete features use the plug-in (maximum likelihood) estimator over
 training-set frequencies; continuous features use the differential entropy
-of a Gaussian KDE (see :mod:`repro.errormodels.kde`). All entropies are in
-nats, matching the natural-log surprisals of the error models.
+of a Gaussian KDE (:func:`repro.errormodels.kde.batch_entropy`). All
+entropies are in nats, matching the natural-log surprisals of the error
+models. Both estimators take member-major ``(k, n)`` stacks of complete
+rows; :func:`dataset_entropies` forms those stacks for a whole matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.schema import FeatureSchema, FeatureSpec
-from repro.errormodels.kde import GaussianKDE
+from repro.data.schema import FeatureSchema
+from repro.errormodels.kde import batch_entropy
 from repro.utils.exceptions import DataError
 
 
-def discrete_entropy(values: np.ndarray, arity: "int | None" = None) -> float:
-    """Plug-in Shannon entropy (nats) of integer-coded values.
-
-    NaN entries (missing values) are ignored. ``arity`` only validates the
-    code range; zero-frequency categories contribute nothing either way.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        raise DataError("cannot estimate entropy from zero observed values")
-    codes = np.rint(values).astype(np.intp)
-    if arity is not None and codes.size and (codes.min() < 0 or codes.max() >= arity):
-        raise DataError(f"codes outside [0, {arity})")
-    _, counts = np.unique(codes, return_counts=True)
-    p = counts / counts.sum()
-    # Positive by construction: np.unique(return_counts=True) only reports
-    # observed categories, so every count (and frequency p) is >= 1/n > 0.
-    return float(-(p * np.log(p)).sum())  # fraclint: disable=FRL003
-
-
 def batch_discrete_entropy(values: np.ndarray, arities: "list[int]") -> np.ndarray:
-    """:func:`discrete_entropy` of each row of a complete ``(k, n)`` stack.
+    """Plug-in Shannon entropy (nats) of each row of a complete ``(k, n)`` stack.
 
-    Bitwise equal to ``discrete_entropy(values[j], arity=arities[j])``:
-    one ``bincount`` counts every row's codes (the frequencies ``np.unique``
-    reports, in the same ascending order), and the final
-    ``-(p * log p).sum()`` runs per row on the 1-D frequency vector the
-    scalar path builds, so the log and the sum see the same arrays.
+    Row ``j`` holds integer codes in ``[0, arities[j])``. Bitwise equal to
+    the per-row reference plug-in entropy of row ``j``
+    (``tests/errormodels/reference.py``): one ``bincount`` counts every
+    row's codes (the frequencies ``np.unique`` reports, in the same
+    ascending order), and the final ``-(p * log p).sum()`` runs per row on
+    the 1-D frequency vector the reference builds, so the log and the sum
+    see the same arrays.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != len(arities):
@@ -69,22 +53,31 @@ def batch_discrete_entropy(values: np.ndarray, arities: "list[int]") -> np.ndarr
     return out
 
 
-def differential_entropy(values: np.ndarray, bandwidth: "float | None" = None) -> float:
-    """KDE-based differential entropy (nats) of real values (paper §II-A)."""
-    return GaussianKDE(bandwidth=bandwidth).fit(values).entropy()
-
-
-def feature_entropy(column: np.ndarray, spec: FeatureSpec) -> float:
-    """Entropy of one feature column according to its schema kind."""
-    if spec.is_categorical:
-        return discrete_entropy(column, arity=spec.arity)
-    return differential_entropy(column)
-
-
 def dataset_entropies(x: np.ndarray, schema: FeatureSchema) -> np.ndarray:
-    """Per-feature entropies for a whole (training) matrix."""
+    """Per-feature entropies for a whole (training) matrix.
+
+    Missing (NaN) values are left out of each column's estimate. Columns
+    are grouped by (kind, observed-row mask), as the engine's planner
+    groups targets, and each group's observed rows go through one
+    :func:`batch_discrete_entropy` or :func:`~repro.errormodels.kde.batch_entropy`
+    call; each column's entropy is bitwise the per-column reference
+    estimate of its kind (``tests/errormodels/reference.py``).
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != len(schema):
         raise DataError(
             f"matrix has {x.shape[1]} columns but schema describes {len(schema)}"
         )
-    return np.array([feature_entropy(x[:, j], schema[j]) for j in range(len(schema))])
+    observed = ~np.isnan(x)
+    groups: "dict[tuple[bool, bytes], list[int]]" = {}
+    for j in range(len(schema)):
+        key = (schema[j].is_categorical, observed[:, j].tobytes())
+        groups.setdefault(key, []).append(j)
+    out = np.empty(len(schema))
+    for (categorical, _), cols in groups.items():
+        stack = x.T[np.ix_(cols, np.flatnonzero(observed[:, cols[0]]))]
+        if categorical:
+            out[cols] = batch_discrete_entropy(stack, [schema[j].arity for j in cols])
+        else:
+            out[cols] = batch_entropy(stack)
+    return out

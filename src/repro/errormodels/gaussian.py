@@ -36,26 +36,16 @@ class GaussianErrorModel(ErrorModel):
         self.sigma_: "float | None" = None
 
     def fit(self, predictions: np.ndarray, truths: np.ndarray) -> "GaussianErrorModel":
-        predictions = np.asarray(predictions, dtype=np.float64).ravel()
-        truths = np.asarray(truths, dtype=np.float64).ravel()
-        check_consistent_length(predictions, truths)
-        if predictions.size == 0:
-            raise FitError("cannot fit a Gaussian error model on zero holdout pairs")
-        resid = truths - predictions
-        if not np.isfinite(resid).all():
-            raise FitError("holdout residuals contain non-finite values")
-        self.mu_ = float(resid.mean())
-        self.sigma_ = float(max(resid.std(), self.sigma_floor))
+        p, t = np.ravel(predictions), np.ravel(truths)
+        check_consistent_length(p, t)
+        (fitted,) = self.batch_fit(p[None], t[None], sigma_floor=self.sigma_floor)
+        self.mu_, self.sigma_ = fitted.mu_, fitted.sigma_
         return self
 
     def surprisal(self, predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
         check_fitted(self, "sigma_")
-        predictions = np.asarray(predictions, dtype=np.float64)
-        truths = np.asarray(truths, dtype=np.float64)
-        z = (truths - predictions - self.mu_) / self.sigma_
-        # Positive by construction: fit() floors sigma_ at sigma_floor,
-        # which __init__ validates to be > 0.
-        return 0.5 * z * z + np.log(self.sigma_) + 0.5 * _LOG_2PI  # fraclint: disable=FRL003
+        p, t = np.asarray(predictions), np.asarray(truths)
+        return self.batch_surprisal([self], p[None], t[None])[0]
 
     @classmethod
     def batch_fit(
@@ -67,11 +57,11 @@ class GaussianErrorModel(ErrorModel):
     ) -> "list[GaussianErrorModel]":
         """Fit one model per row of stacked ``(k, n)`` holdout pairs.
 
-        Bitwise equal to fitting each row through :meth:`fit`: the
-        residual subtraction is elementwise, and contiguous-row
-        ``mean(axis=1)`` / ``std(axis=1)`` replay each row's 1-D pairwise
-        reductions. Any non-finite residual raises the same
-        :class:`FitError` the scalar path would, for the whole batch.
+        Bitwise equal to the per-row reference fit
+        (``tests/errormodels/reference.py``): the residual subtraction is
+        elementwise, and contiguous-row ``mean(axis=1)`` / ``std(axis=1)``
+        replay each row's 1-D pairwise reductions. Any non-finite residual
+        raises :class:`FitError` for the whole batch.
         """
         predictions = np.ascontiguousarray(np.asarray(predictions, dtype=np.float64))
         truths = np.ascontiguousarray(np.asarray(truths, dtype=np.float64))
@@ -96,52 +86,31 @@ class GaussianErrorModel(ErrorModel):
         return models
 
     @classmethod
-    def batch_mean_surprisal(
-        cls,
-        models: "list[GaussianErrorModel]",
-        predictions: np.ndarray,
-        truths: np.ndarray,
+    def batch_surprisal(
+        cls, models: "list[GaussianErrorModel]", predictions: np.ndarray, truths: np.ndarray
     ) -> np.ndarray:
-        """Row-wise mean surprisal (the CV calibration figure).
+        """Surprisal of member-major ``(k, n)`` stacks: row ``j`` is ``models[j]``'s.
 
-        Bitwise equal to ``model.surprisal(p_row, t_row).mean()`` per
-        member: broadcasting per-model column scalars keeps every
-        elementwise operand identical, the row mean runs the contiguous
-        1-D pairwise kernel, and ``np.log(sigma)`` stays a per-model
-        scalar call exactly as in :meth:`batch_surprisal`.
+        Bitwise equal, row by row, to the per-model reference surprisal
+        (``tests/errormodels/reference.py``): broadcasting per-model column
+        scalars through the elementwise ops replays its float sequence
+        exactly (each element sees the same operands in the same order).
+        The result is C-contiguous, so ``.mean(axis=1)`` runs each row's
+        1-D pairwise kernel, as the reference's ``surprisal(...).mean()``
+        does. The one op that is *not* broadcast is ``np.log(sigma)``:
+        numpy's SIMD log over a vector of sigmas is not guaranteed
+        bit-identical to the scalar ``np.log`` of one sigma, so the log of
+        each sigma is taken as a scalar and only then assembled.
         """
         for model in models:
             check_fitted(model, "sigma_")
         predictions = np.ascontiguousarray(np.asarray(predictions, dtype=np.float64))
         truths = np.ascontiguousarray(np.asarray(truths, dtype=np.float64))
-        mu = np.array([model.mu_ for model in models])
-        sigma = np.array([model.sigma_ for model in models])
-        log_sigma = np.array([np.log(model.sigma_) for model in models])  # fraclint: disable=FRL003 -- sigma_ floored positive by fit()
-        z = (truths - predictions - mu[:, None]) / sigma[:, None]
-        s = 0.5 * z * z + log_sigma[:, None] + 0.5 * _LOG_2PI
-        return s.mean(axis=1)
-
-    @classmethod
-    def batch_surprisal(
-        cls, models: "list[GaussianErrorModel]", predictions: np.ndarray, truths: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized column-wise surprisal, bitwise equal to the scalar path.
-
-        Broadcasting a per-model row vector through the elementwise ops
-        replays the scalar path's float sequence exactly (each element sees
-        the same operands in the same order). The one op that is *not*
-        broadcast is ``np.log(sigma)``: numpy's SIMD log over a vector of
-        sigmas is not guaranteed bit-identical to the scalar ``np.log``
-        the per-model path calls, so the log of each sigma is taken as a
-        scalar and only then assembled into the row.
-        """
-        for model in models:
-            check_fitted(model, "sigma_")
-        predictions = np.asarray(predictions, dtype=np.float64)
-        truths = np.asarray(truths, dtype=np.float64)
-        mu = np.array([model.mu_ for model in models])
-        sigma = np.array([model.sigma_ for model in models])
-        log_sigma = np.array([np.log(model.sigma_) for model in models])  # fraclint: disable=FRL003 -- sigma_ floored positive by fit()
+        mu = np.array([model.mu_ for model in models])[:, None]
+        sigma = np.array([model.sigma_ for model in models])[:, None]
+        # Positive by construction: fit() floors sigma_ at sigma_floor,
+        # which __init__ validates to be > 0.
+        log_sigma = np.array([np.log(model.sigma_) for model in models])[:, None]  # fraclint: disable=FRL003
         z = (truths - predictions - mu) / sigma
         return 0.5 * z * z + log_sigma + 0.5 * _LOG_2PI
 

@@ -14,12 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.exceptions import FitError
-from repro.utils.validation import check_fitted
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 #: Bandwidth floor, for degenerate (constant or near-constant) samples.
 BANDWIDTH_FLOOR = 1e-9
+
+#: Byte budget of one ``(rows, n, n)`` kernel tensor in :func:`batch_entropy`;
+#: rows are chunked to stay under it, so a whole data set's worth of rows
+#: costs a few MiB of transients, not ``k * n * n * 8`` bytes.
+KERNEL_CHUNK_BYTES = 1 << 20
 
 
 def _quartile(sorted_values: np.ndarray, q: float) -> float:
@@ -41,27 +45,13 @@ def _quartile(sorted_values: np.ndarray, q: float) -> float:
     return a + (b - a) * t
 
 
-def silverman_bandwidth(values: np.ndarray) -> float:
-    """Silverman's rule of thumb: ``0.9 * min(sd, IQR/1.34) * n^{-1/5}``."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    n = values.size
-    if n < 2:
-        return BANDWIDTH_FLOOR
-    sd = float(values.std())
-    ordered = np.sort(values)
-    iqr = _quartile(ordered, 0.75) - _quartile(ordered, 0.25)
-    spread_candidates = [s for s in (sd, iqr / 1.34) if s > 0]
-    if not spread_candidates:
-        return BANDWIDTH_FLOOR
-    return max(0.9 * min(spread_candidates) * n ** (-0.2), BANDWIDTH_FLOOR)
-
-
 def batch_silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
-    """Row-wise Silverman bandwidths, bit-equal to the scalar rule.
+    """Row-wise Silverman bandwidths: ``0.9 * min(sd, IQR/1.34) * n^{-1/5}``.
 
-    Rows must be finite (the scalar path's finiteness compaction is a
-    no-op then, and a contiguous row runs the same reduction kernels as
-    the compacted copy). The spread statistics batch — a contiguous-row
+    Bit-equal to the per-row reference rule
+    (``tests/errormodels/reference.py``) on finite rows (its finiteness
+    compaction is a no-op then, and a contiguous row runs the same
+    reduction kernels as the compacted copy). The spread statistics batch — a contiguous-row
     ``std(axis=1)`` replays each row's 1-D pairwise ``std()`` and sorting
     is exact — while the quartile lerp and the floor/min scalar
     arithmetic replay per row.
@@ -84,19 +74,24 @@ def batch_silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_entropy(samples: np.ndarray, *, chunk_bytes: int = 1 << 25) -> np.ndarray:
+def batch_entropy(samples: np.ndarray) -> np.ndarray:
     """Row-wise resubstitution entropies, one KDE per row of ``samples``.
 
-    Bitwise equal to ``GaussianKDE().fit(row).entropy()`` for each
-    (finite) row: elementwise kernel evaluation is position-independent,
-    and the logsumexp/mean reductions run over the contiguous last axis,
-    which replays the per-row 2-D reductions of the scalar path.  The
-    ``np.log`` normalizer stays a per-row *scalar* call — the scalar
-    path's ``np.log(python float)`` is not the SIMD array log.  Rows are
-    chunked so the (chunk, n, n) kernel tensor stays under
-    ``chunk_bytes``.
+    Every row must be finite: a NaN or infinite value would make the row's
+    entropy NaN and, through the NS sum, every score, so it raises
+    :class:`FitError` (drop missing values before the call, as
+    :func:`repro.errormodels.entropy.dataset_entropies` does).
 
-    The logsumexp needs no max shift here, though the scalar path takes
+    Bitwise equal to the per-row reference KDE entropy
+    (``tests/errormodels/reference.py``): elementwise kernel evaluation is
+    position-independent, and the logsumexp/mean reductions run over the
+    contiguous last axis, which replays the reference's per-row 2-D
+    reductions. The ``np.log`` normalizer stays a per-row *scalar* call,
+    as the reference's ``np.log(python float)`` is not the SIMD array log.
+    Rows are chunked so the ``(chunk, n, n)`` kernel tensor stays under
+    :data:`KERNEL_CHUNK_BYTES`.
+
+    The logsumexp needs no max shift here, though the reference takes
     one: the queries are the samples themselves, so each row of log
     kernels holds its diagonal ``-0.5 * 0.0 * 0.0 = -0.0`` and otherwise
     terms ``<= -0.0``. The row max is ``-0.0``, so ``exp(lk - max)`` is
@@ -107,12 +102,14 @@ def batch_entropy(samples: np.ndarray, *, chunk_bytes: int = 1 << 25) -> np.ndar
     k, n = samples.shape
     if n == 0:
         raise FitError("cannot fit a KDE on zero finite values")
+    if not np.isfinite(samples).all():
+        raise FitError("batch_entropy needs finite rows")
     out = np.empty(k)
     if k == 0:
         return out
     h = batch_silverman_bandwidth(samples)
-    log_norm = np.array([np.log(n * hi) for hi in h])  # fraclint: disable=FRL003 -- per-row scalar np.log replays logpdf's normalizer bit for bit (h floored positive)
-    rows_per_chunk = max(1, int(chunk_bytes // max(n * n * 8, 1)))
+    log_norm = np.array([np.log(n * hi) for hi in h])  # fraclint: disable=FRL003 -- per-row scalar np.log replays the reference KDE's normalizer bit for bit (h floored positive)
+    rows_per_chunk = max(1, KERNEL_CHUNK_BYTES // (n * n * 8))
     for lo in range(0, k, rows_per_chunk):
         hi = min(lo + rows_per_chunk, k)
         s = samples[lo:hi]
@@ -121,54 +118,3 @@ def batch_entropy(samples: np.ndarray, *, chunk_bytes: int = 1 << 25) -> np.ndar
         logpdf = lse - log_norm[lo:hi, None] - 0.5 * _LOG_2PI
         out[lo:hi] = -logpdf.mean(axis=1)
     return out
-
-
-class GaussianKDE:
-    """1-D Gaussian kernel density estimate.
-
-    Parameters
-    ----------
-    bandwidth:
-        Kernel standard deviation; ``None`` selects Silverman's rule at fit
-        time.
-    """
-
-    def __init__(self, bandwidth: "float | None" = None) -> None:
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive; got {bandwidth}")
-        self.bandwidth = bandwidth
-        self.samples_: "np.ndarray | None" = None
-        self.bandwidth_: "float | None" = None
-
-    def fit(self, values: np.ndarray) -> "GaussianKDE":
-        values = np.asarray(values, dtype=np.float64).ravel()
-        values = values[np.isfinite(values)]
-        if values.size == 0:
-            raise FitError("cannot fit a KDE on zero finite values")
-        self.samples_ = values
-        self.bandwidth_ = (
-            self.bandwidth if self.bandwidth is not None else silverman_bandwidth(values)
-        )
-        return self
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density at query points (vectorized; O(n_query * n_train))."""
-        check_fitted(self, "samples_")
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        h = self.bandwidth_
-        z = (x[:, None] - self.samples_[None, :]) / h
-        # logsumexp over kernels, numerically stable.
-        log_kernels = -0.5 * z * z
-        m = log_kernels.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(log_kernels - m).sum(axis=1))
-        # Positive by construction: fit() rejects empty samples (size >= 1)
-        # and bandwidth_ is validated > 0 or floored at BANDWIDTH_FLOOR.
-        return lse - np.log(self.samples_.size * h) - 0.5 * _LOG_2PI  # fraclint: disable=FRL003
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.logpdf(x))
-
-    def entropy(self) -> float:
-        """Resubstitution estimate of the differential entropy (nats)."""
-        check_fitted(self, "samples_")
-        return float(-self.logpdf(self.samples_).mean())

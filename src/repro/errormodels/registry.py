@@ -1,13 +1,12 @@
 """Name-based error-model construction.
 
-Fitted artifacts store an error model's short serialized name
-(``"gaussian"``, ``"confusion"``) so that persisted studies are
-reloadable by name alone; this registry is the single source of that
-mapping, mirroring :mod:`repro.learners.registry`. fraclint's FRL012
-(registry-completeness) checks, cross-module, that every concrete
-:class:`~repro.errormodels.base.ErrorModel` subclass appears here — an
-unregistered model would fit fine but fail to round-trip through
-persistence.
+Maps each error model's short name (``"gaussian"``, ``"confusion"``) to
+its class, mirroring :mod:`repro.learners.registry`. Saved detectors do
+not use these names: :mod:`repro.persistence` pickles the fitted model
+objects themselves. fraclint's FRL012 (registry-completeness) checks,
+cross-module, that every concrete
+:class:`~repro.errormodels.base.ErrorModel` subclass appears here, so
+the table names every model the library has.
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ def per_feature_path(monkeypatch):
     tree also takes the dense sorted sweep, the split search independent
     of the group builder. Outside it the group learners run. Error
     models, entropies and CV means take the same batched calls on both
-    sides; their oracles are the per-row unit tests in
-    ``tests/errormodels``.
+    sides; their oracles are the per-row reference implementations in
+    ``tests/errormodels/reference.py``.
     """
 
     @contextlib.contextmanager

@@ -32,10 +32,12 @@ from tests.core.test_batched_equivalence import (
     assert_models_identical,
     make_mixed_data,
 )
+from tests.errormodels import reference
 
 
 def reference_gather_surprisals(models, x_test_imputed, x_test_targets, out):
-    """The retired per-model scoring loop, verbatim: the byte standard."""
+    """The retired per-model scoring loop with the reference surprisals:
+    the byte standard."""
     for t, fm in enumerate(models):
         truths = x_test_targets[:, fm.feature_id]
         observed = ~np.isnan(truths)
@@ -43,7 +45,7 @@ def reference_gather_surprisals(models, x_test_imputed, x_test_targets, out):
             continue
         preds = fm.predictor.predict(x_test_imputed[np.ix_(observed, fm.input_ids)])
         out[observed, t] = (
-            fm.error_model.surprisal(preds, truths[observed]) - fm.entropy
+            reference.surprisal(fm.error_model, preds, truths[observed]) - fm.entropy
         )
 
 

@@ -147,7 +147,7 @@ class TestSNPDataset:
             assert np.abs(corr[np.triu_indices(len(variable), 1)]).max() > 0.3
 
     def test_ancestry_features_are_high_entropy(self):
-        from repro.errormodels.entropy import discrete_entropy
+        from tests.errormodels.reference import discrete_entropy
 
         cfg = SNPConfig(n_features=80, n_normal=120, n_anomaly=20, block_size=8,
                         ancestry_blocks=2, relevant_blocks=1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errormodels.confusion import ConfusionErrorModel
 from repro.utils.exceptions import DataError, FitError, NotFittedError
+from tests.errormodels.reference import ReferenceConfusionErrorModel
 
 
 class TestFit:
@@ -97,8 +98,8 @@ class TestSurprisal:
 
 
 class TestBatchFit:
-    """``batch_fit`` / ``batch_mean_surprisal`` are bitwise the per-row
-    ``fit`` / ``surprisal(...).mean()``, mixed arities included."""
+    """``batch_fit`` / ``batch_surprisal`` are bitwise the reference per-row
+    ``fit`` / ``surprisal``, row means included, mixed arities included."""
 
     def _stack(self, seed, k=7, n=40):
         gen = np.random.default_rng(seed)
@@ -112,12 +113,18 @@ class TestBatchFit:
     def test_matches_scalar_fits(self, seed, smoothing):
         pred, true, arities = self._stack(seed)
         models = ConfusionErrorModel.batch_fit(pred, true, arities, smoothing=smoothing)
-        means = ConfusionErrorModel.batch_mean_surprisal(models, pred, true)
+        surprisal = ConfusionErrorModel.batch_surprisal(models, pred, true)
+        means = surprisal.mean(axis=1)
         for j, (model, arity) in enumerate(zip(models, arities)):
-            ref = ConfusionErrorModel(arity, smoothing=smoothing).fit(pred[j], true[j])
+            ref = ReferenceConfusionErrorModel(arity, smoothing=smoothing).fit(pred[j], true[j])
             assert np.array_equal(model.counts_, ref.counts_)
             assert np.array_equal(model.log_prob_, ref.log_prob_)
+            assert np.array_equal(surprisal[j], ref.surprisal(pred[j], true[j]))
             assert means[j] == ref.surprisal(pred[j], true[j]).mean()
+            # fit / surprisal are a batch of one.
+            one = ConfusionErrorModel(arity, smoothing=smoothing).fit(pred[j], true[j])
+            assert np.array_equal(one.log_prob_, ref.log_prob_)
+            assert np.array_equal(one.surprisal(true[j], pred[j]), ref.surprisal(true[j], pred[j]))
 
     def test_rejects_out_of_range_codes(self):
         pred, true, arities = self._stack(0, k=2)

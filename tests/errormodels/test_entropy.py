@@ -5,45 +5,53 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.schema import FeatureKind, FeatureSchema, FeatureSpec
-from repro.errormodels.entropy import (
-    batch_discrete_entropy,
-    dataset_entropies,
-    differential_entropy,
-    discrete_entropy,
-    feature_entropy,
-)
+from repro.errormodels import kde
+from repro.errormodels.entropy import batch_discrete_entropy, dataset_entropies
 from repro.utils.exceptions import DataError
+from tests.errormodels.reference import discrete_entropy, feature_entropy
+
+REAL = FeatureSpec(FeatureKind.REAL)
+
+
+def column_entropy(values, spec):
+    """The library's entropy of one column (NaN left out)."""
+    column = np.asarray(values, dtype=float)[:, None]
+    return float(dataset_entropies(column, FeatureSchema([spec]))[0])
+
+
+def discrete(values, arity=5):
+    return column_entropy(values, FeatureSpec(FeatureKind.CATEGORICAL, arity=arity))
 
 
 class TestDiscreteEntropy:
     def test_uniform_binary(self):
         v = np.array([0.0, 1.0, 0.0, 1.0])
-        np.testing.assert_allclose(discrete_entropy(v), np.log(2))
+        np.testing.assert_allclose(discrete(v), np.log(2))
 
     def test_constant_is_zero(self):
-        assert discrete_entropy(np.zeros(10)) == 0.0
+        assert discrete(np.zeros(10)) == 0.0
 
     def test_uniform_ternary(self):
         v = np.array([0.0, 1.0, 2.0] * 5)
-        np.testing.assert_allclose(discrete_entropy(v, arity=3), np.log(3))
+        np.testing.assert_allclose(discrete(v, arity=3), np.log(3))
 
     def test_nan_ignored(self):
         v = np.array([0.0, 1.0, np.nan])
-        np.testing.assert_allclose(discrete_entropy(v), np.log(2))
+        np.testing.assert_allclose(discrete(v), np.log(2))
 
     def test_all_nan_raises(self):
         with pytest.raises(DataError):
-            discrete_entropy(np.array([np.nan]))
+            discrete(np.array([np.nan]))
 
     def test_out_of_range(self):
         with pytest.raises(DataError):
-            discrete_entropy(np.array([5.0]), arity=3)
+            discrete(np.array([5.0]), arity=3)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=100))
     def test_bounds(self, codes):
         """0 <= H <= ln(#distinct values)."""
-        h = discrete_entropy(np.array(codes, dtype=float))
+        h = discrete(np.array(codes, dtype=float))
         assert -1e-12 <= h <= np.log(max(len(set(codes)), 1)) + 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -52,30 +60,25 @@ class TestDiscreteEntropy:
         v = np.array(codes, dtype=float)
         gen = np.random.default_rng(0)
         np.testing.assert_allclose(
-            discrete_entropy(v), discrete_entropy(gen.permutation(v))
+            discrete(v), discrete(gen.permutation(v))
         )
 
 
 class TestDifferentialEntropy:
     def test_wider_is_higher(self):
         gen = np.random.default_rng(0)
-        assert differential_entropy(gen.normal(0, 3, 200)) > differential_entropy(
-            gen.normal(0, 1, 200)
+        assert column_entropy(gen.normal(0, 3, 200), REAL) > column_entropy(
+            gen.normal(0, 1, 200), REAL
         )
-
-    def test_explicit_bandwidth(self):
-        gen = np.random.default_rng(1)
-        h = differential_entropy(gen.standard_normal(100), bandwidth=0.5)
-        assert np.isfinite(h)
 
 
 class TestFeatureEntropy:
     def test_dispatch(self):
-        real = FeatureSpec(FeatureKind.REAL)
         cat = FeatureSpec(FeatureKind.CATEGORICAL, arity=2)
         v = np.array([0.0, 1.0] * 10)
-        assert feature_entropy(v, cat) == pytest.approx(np.log(2))
-        assert np.isfinite(feature_entropy(v, real))
+        ents = dataset_entropies(np.column_stack([v, v]), FeatureSchema([cat, REAL]))
+        assert ents[0] == pytest.approx(np.log(2))
+        assert np.isfinite(ents[1])
 
     def test_dataset_entropies(self):
         schema = FeatureSchema(
@@ -91,6 +94,33 @@ class TestFeatureEntropy:
     def test_width_mismatch(self):
         with pytest.raises(DataError):
             dataset_entropies(np.zeros((3, 2)), FeatureSchema.all_real(3))
+
+    def test_grouped_columns_match_reference(self, monkeypatch):
+        """Columns grouped by (kind, observed mask) and chunked through
+        ``batch_entropy`` are bitwise the per-column reference."""
+        gen = np.random.default_rng(9)
+        n = 40
+        specs = [REAL] * 14 + [
+            FeatureSpec(FeatureKind.CATEGORICAL, arity=int(a)) for a in gen.integers(2, 6, 8)
+        ]
+        x = gen.normal(size=(n, len(specs)))
+        for j, spec in enumerate(specs):
+            if spec.is_categorical:
+                x[:, j] = gen.integers(0, spec.arity, n)
+        # Three mask groups per kind: complete columns, two columns sharing
+        # one hole pattern, and a column with holes of its own.
+        shared_holes = gen.random(n) < 0.1
+        for j in (10, 11, 18, 19):
+            x[shared_holes, j] = np.nan
+        for j in (12, 20):
+            x[gen.random(n) < 0.1, j] = np.nan
+        schema = FeatureSchema(specs)
+        # Three rows' kernel tensors per chunk: the 10 complete real columns
+        # take four chunks.
+        monkeypatch.setattr(kde, "KERNEL_CHUNK_BYTES", 3 * n * n * 8)
+        got = dataset_entropies(x, schema)
+        want = np.array([feature_entropy(x[:, j], spec) for j, spec in enumerate(specs)])
+        assert np.array_equal(got, want)
 
 
 class TestBatchDiscreteEntropy:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errormodels.gaussian import GaussianErrorModel
 from repro.utils.exceptions import FitError, NotFittedError
+from tests.errormodels.reference import ReferenceGaussianErrorModel
 
 _LOG_2PI = np.log(2 * np.pi)
 
@@ -84,10 +85,11 @@ class TestSurprisal:
 
 
 class TestBatchFit:
-    """``batch_fit`` / ``batch_mean_surprisal`` / ``batch_surprisal`` are
-    bitwise the per-row ``fit`` / ``surprisal(...).mean()`` /
-    ``surprisal``: the training engine fits every feature's error model
-    through the batched calls, so these are their only oracle."""
+    """``batch_fit`` / ``batch_surprisal(...).mean(axis=1)`` /
+    ``batch_surprisal`` are bitwise the reference per-row ``fit`` /
+    ``surprisal(...).mean()`` / ``surprisal``: the library computes every
+    error model through the batched calls, so the reference bodies are
+    their only oracle."""
 
     @staticmethod
     def _stack(seed, k, n):
@@ -104,13 +106,17 @@ class TestBatchFit:
         """n straddles numpy's pairwise-sum unroll (8) and block (128) sizes."""
         pred, truth = self._stack(n, k=5, n=n)
         models = GaussianErrorModel.batch_fit(pred, truth, sigma_floor=sigma_floor)
-        means = GaussianErrorModel.batch_mean_surprisal(models, pred, truth)
+        means = GaussianErrorModel.batch_surprisal(models, pred, truth).mean(axis=1)
         for j, model in enumerate(models):
-            ref = GaussianErrorModel(sigma_floor).fit(pred[j], truth[j])
+            ref = ReferenceGaussianErrorModel(sigma_floor).fit(pred[j], truth[j])
             assert model.sigma_floor == ref.sigma_floor
             assert model.mu_ == ref.mu_
             assert model.sigma_ == ref.sigma_
             assert means[j] == ref.surprisal(pred[j], truth[j]).mean()
+            # fit / surprisal are a batch of one.
+            one = GaussianErrorModel(sigma_floor).fit(pred[j], truth[j])
+            assert (one.mu_, one.sigma_) == (ref.mu_, ref.sigma_)
+            assert np.array_equal(one.surprisal(truth[j], pred[j]), ref.surprisal(truth[j], pred[j]))
         assert models[0].sigma_ == sigma_floor
 
     def test_strided_stacks_match(self):
@@ -118,9 +124,9 @@ class TestBatchFit:
         pred, truth = self._stack(3, k=4, n=300)
         pred_s, truth_s = pred[:, ::2], truth[:, ::2]
         models = GaussianErrorModel.batch_fit(pred_s, truth_s)
-        means = GaussianErrorModel.batch_mean_surprisal(models, pred_s, truth_s)
+        means = GaussianErrorModel.batch_surprisal(models, pred_s, truth_s).mean(axis=1)
         for j, model in enumerate(models):
-            ref = GaussianErrorModel().fit(pred_s[j], truth_s[j])
+            ref = ReferenceGaussianErrorModel().fit(pred_s[j], truth_s[j])
             assert (model.mu_, model.sigma_) == (ref.mu_, ref.sigma_)
             assert means[j] == ref.surprisal(pred_s[j], truth_s[j]).mean()
 
@@ -128,15 +134,18 @@ class TestBatchFit:
         pred, truth = self._stack(4, k=6, n=200)
         models = GaussianErrorModel.batch_fit(pred, truth)
         gen = np.random.default_rng(5)
-        p_test, t_test = gen.normal(size=(2, 17, 6))
+        p_test, t_test = gen.normal(size=(2, 6, 17))
         s = GaussianErrorModel.batch_surprisal(models, p_test, t_test)
         for j, model in enumerate(models):
-            assert np.array_equal(s[:, j], model.surprisal(p_test[:, j], t_test[:, j]))
+            want = ReferenceGaussianErrorModel.surprisal(model, p_test[j], t_test[j])
+            assert np.array_equal(s[j], want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_residual_raises_like_scalar(self, bad):
         pred, truth = self._stack(6, k=3, n=20)
         truth[2, 11] = bad
+        with pytest.raises(FitError, match="non-finite"):
+            ReferenceGaussianErrorModel().fit(pred[2], truth[2])
         with pytest.raises(FitError, match="non-finite"):
             GaussianErrorModel().fit(pred[2], truth[2])
         with pytest.raises(FitError, match="non-finite"):

@@ -1,18 +1,14 @@
-"""Tests for the Gaussian KDE and entropy estimators."""
+"""Tests for the batched KDE entropy, and for its reference oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from repro.errormodels.kde import (
-    BANDWIDTH_FLOOR,
-    GaussianKDE,
-    batch_entropy,
-    batch_silverman_bandwidth,
-    silverman_bandwidth,
-)
+from repro.errormodels import kde
+from repro.errormodels.kde import BANDWIDTH_FLOOR, batch_entropy, batch_silverman_bandwidth
 from repro.utils.exceptions import FitError, NotFittedError
+from tests.errormodels.reference import GaussianKDE, silverman_bandwidth
 
 
 class TestBandwidth:
@@ -93,16 +89,16 @@ class TestKDE:
         np.testing.assert_allclose(h_scale, h0 + np.log(scale), atol=1e-9)
 
 
-def assert_rows_match(samples, **kw):
-    """The batched KDE of every row is bitwise the scalar KDE of that row."""
+def assert_rows_match(samples):
+    """The batched KDE of every row is bitwise the reference KDE of that row."""
     want_h = np.array([silverman_bandwidth(row) for row in samples])
     want_entropy = np.array([GaussianKDE().fit(row).entropy() for row in samples])
     assert np.array_equal(batch_silverman_bandwidth(samples), want_h)
-    assert np.array_equal(batch_entropy(samples, **kw), want_entropy)
+    assert np.array_equal(batch_entropy(samples), want_entropy)
 
 
 class TestBatchedKDE:
-    """``batch_entropy`` / ``batch_silverman_bandwidth`` against the scalar
+    """``batch_entropy`` / ``batch_silverman_bandwidth`` against the reference
     estimators, bit for bit (``np.array_equal``)."""
 
     def test_ties(self):
@@ -132,15 +128,24 @@ class TestBatchedKDE:
         gen = np.random.default_rng(7)
         assert_rows_match(gen.normal(size=(5, 50)) * scale)
 
-    def test_rows_split_across_chunks(self):
+    def test_rows_split_across_chunks(self, monkeypatch):
         # Two rows' kernel tensors per chunk, so seven rows take four chunks.
         gen = np.random.default_rng(8)
         samples = gen.normal(size=(7, 25))
-        assert_rows_match(samples, chunk_bytes=2 * 25 * 25 * 8)
-        assert np.array_equal(
-            batch_entropy(samples, chunk_bytes=1), batch_entropy(samples)
-        )
+        whole = batch_entropy(samples)
+        monkeypatch.setattr(kde, "KERNEL_CHUNK_BYTES", 2 * 25 * 25 * 8)
+        assert_rows_match(samples)
+        monkeypatch.setattr(kde, "KERNEL_CHUNK_BYTES", 1)
+        assert np.array_equal(batch_entropy(samples), whole)
 
     def test_empty_rows_raise(self):
         with pytest.raises(FitError):
             batch_entropy(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rows_raise(self, bad):
+        # A non-finite value used to come back as a NaN entropy (with only
+        # RuntimeWarnings), which would poison every NS score.
+        samples = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, bad, 2.0]])
+        with pytest.raises(FitError, match="finite"):
+            batch_entropy(samples)

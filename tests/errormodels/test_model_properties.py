@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errormodels.confusion import ConfusionErrorModel
-from repro.errormodels.entropy import discrete_entropy
 from repro.errormodels.gaussian import GaussianErrorModel
-from repro.errormodels.kde import GaussianKDE
+from tests.errormodels.reference import GaussianKDE, discrete_entropy
 
 
 class TestNSTermCoherence:
