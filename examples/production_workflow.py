@@ -7,8 +7,8 @@ This is the path a clinical-research group would actually take:
 2. train a scalable FRaC variant on the healthy samples;
 3. persist the fitted detector (``repro.persistence``) so scoring nodes
    never retrain;
-4. score incoming samples, test the AUC's significance on a labelled
-   validation slice, and emit per-sample molecular explanations.
+4. score incoming samples, check the AUC on a labelled validation slice,
+   and emit per-sample molecular explanations.
 
 Run:  python examples/production_workflow.py        (~30 seconds)
 """
@@ -23,7 +23,7 @@ import numpy as np
 from repro import FRaCConfig, FilteredFRaC, load_detector, save_detector
 from repro.core import explain_samples
 from repro.data import ExpressionConfig, make_expression_dataset, read_delimited, write_delimited
-from repro.eval import auc_confidence_interval, auc_permutation_test
+from repro.eval import auc_score
 
 
 def make_cohort_csv(path: Path) -> None:
@@ -60,12 +60,9 @@ def main() -> None:
     print(f"Persisted to {artifact.name} ({artifact.stat().st_size / 1e3:.0f} kB), "
           f"metadata: {meta}")
 
-    # -- 4. score + significance + explanation ---------------------------------
+    # -- 4. score + AUC + explanation ------------------------------------------
     scores = scoring_node.score(cohort.x)
-    perm = auc_permutation_test(cohort.is_anomaly, scores, n_permutations=300, rng=1)
-    auc, lo, hi = auc_confidence_interval(cohort.is_anomaly, scores)
-    print(f"\nValidation AUC {auc:.3f} (95% CI [{lo:.3f}, {hi:.3f}]), "
-          f"permutation p = {perm.p_value:.4f}")
+    print(f"\nValidation AUC {auc_score(cohort.is_anomaly, scores):.3f}")
 
     flagged = np.argsort(-scores)[:3]
     contributions = scoring_node.contributions(cohort.x[flagged])

@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         metavar="FILE",
         dest="update_baseline",
-        help="regenerate FILE mechanically, preserving previously recorded "
-        "audit notes for groups that still exist, and exit",
+        help="regenerate FILE mechanically (counts and audit notes from "
+        "the current tree only), and exit",
     )
     parser.add_argument(
         "--stats",

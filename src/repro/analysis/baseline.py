@@ -70,31 +70,21 @@ def _group_notes(records: "list[dict]") -> "dict[str, list[str]]":
 
 
 def update_baseline(path: "Path | str", records: "list[dict]") -> dict:
-    """Regenerate ``path`` mechanically, preserving recorded audit notes.
+    """Regenerate ``path`` mechanically from the current tree.
 
-    Counts are recomputed from the current tree, and a missing ``path``
-    is written fresh. The payload also carries a ``notes`` section: per
-    group, the sorted audit notes currently in the tree, merged with the
-    notes the *previous* baseline recorded for groups that still exist — so the justification written during an
-    audit survives even after the directive that carried it is paid down
-    to a smaller count. The output is deterministic: updating twice with
-    an unchanged tree produces byte-identical files (the round-trip the
-    tests pin).
+    Counts and the ``notes`` section (per group, the sorted audit notes
+    of the suppressions in the tree) come from ``records`` alone; the
+    previous file, if any, is overwritten, so a note whose directive was
+    reworded or paid down leaves the baseline with it. The output is
+    deterministic: updating twice with an unchanged tree produces
+    byte-identical files (the round-trip the tests pin).
     """
-    notes = _group_notes(records)
-    counts = _group_counts(records)
     target = Path(path)
-    if target.exists():
-        previous = load_baseline(target)
-        for key, kept in previous.get("notes", {}).items():
-            if key in counts:
-                merged = set(notes.get(key, [])) | set(kept)
-                notes[key] = sorted(merged)
     payload = {
         "version": BASELINE_VERSION,
         "total": sum(len(r["rules"]) for r in records),
-        "counts": counts,
-        "notes": notes,
+        "counts": _group_counts(records),
+        "notes": _group_notes(records),
     }
     try:
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -296,28 +296,28 @@ class ForkSafetyChecker(ProjectChecker):
 
 @register
 class RegistryCompletenessChecker(ProjectChecker):
-    """FRL012: every concrete learner/error model registers by name.
+    """FRL012: every concrete learner registers by name.
 
     Invariant:
         Every concrete (non-private, no remaining abstract methods)
-        subclass of ``BaseLearner`` or ``ErrorModel`` must appear as a
-        value in a string-keyed registry dict somewhere in the project,
-        and every entry of a ``registry`` module's dict must resolve to
-        an indexed class or factory — so serialized names round-trip:
-        the name stored in a fitted artifact always reconstructs the
-        class that produced it. This needs the cross-module symbol
-        table: the class, the registry, and the serialization site live
-        in different files.
+        subclass of ``BaseLearner`` must appear as a value in a
+        string-keyed registry dict somewhere in the project, and every
+        entry of a ``registry`` module's dict must resolve to an indexed
+        class or factory — so a config's learner name always constructs
+        a class. Error models are not named: the engine picks one by
+        target kind. This needs the cross-module symbol table: the class,
+        the registry, and the config that names it live in different
+        files.
 
     Example violation:
         Adding ``class HuberRegressor(Regressor)`` to ``learners/`` with
         the full fit/predict contract but forgetting the
-        ``REGRESSORS["huber"] = HuberRegressor`` entry — artifacts fit
-        with it cannot be reloaded by name.
+        ``REGRESSORS["huber"] = HuberRegressor`` entry — no config can
+        name it.
 
     Fix:
-        Register the class in the appropriate registry dict
-        (``repro.learners.registry`` or ``repro.errormodels.registry``).
+        Register the class in the appropriate registry dict of
+        ``repro.learners.registry``.
         For deliberately unregistered internal helpers, mark the class
         private with a leading underscore or suppress at the class
         definition with an audit note.
@@ -326,13 +326,13 @@ class RegistryCompletenessChecker(ProjectChecker):
     rule = "FRL012"
     name = "registry-completeness"
     description = (
-        "Concrete BaseLearner/ErrorModel subclasses must be registered "
-        "in a name registry (and registry entries must resolve) so "
-        "serialized learner/error-model names round-trip."
+        "Concrete BaseLearner subclasses must be registered in a name "
+        "registry (and registry entries must resolve) so config learner "
+        "names construct a class."
     )
     library_only = True
 
-    root_names = frozenset({"BaseLearner", "ErrorModel"})
+    root_names = frozenset({"BaseLearner"})
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         index = project.index
@@ -365,8 +365,8 @@ class RegistryCompletenessChecker(ProjectChecker):
                         message=(
                             f"concrete class {cls} (a "
                             f"{'/'.join(sorted(self.root_names))} subclass) is "
-                            "not registered in any name registry; its "
-                            "serialized name cannot round-trip"
+                            "not registered in any name registry; no "
+                            "config can name it"
                         ),
                     )
         yield from self._dangling_entries(index)
@@ -442,7 +442,6 @@ LAYERS: dict = {
     "core": 40,
     "eval": 50,
     "baselines": 50,
-    "csax": 60,
     "experiments": 70,
     "persistence": 80,
     "analysis": 90,
@@ -498,7 +497,7 @@ class ImportLayeringChecker(ProjectChecker):
         ``repro.*`` modules form layers (``--layers`` prints the
         diagram): utils at the bottom, then data/learners,
         errormodels/projection, parallel/telemetry, core, eval/baselines,
-        csax, experiments, persistence, and analysis/cli on top. A module
+        experiments, persistence, and analysis/cli on top. A module
         may import its own layer or lower ones only; an upward import is
         an error, because it creates a cycle in waiting that breaks
         isolated testing and incremental reasoning about determinism.
@@ -522,7 +521,7 @@ class ImportLayeringChecker(ProjectChecker):
     description = (
         "repro.* modules must respect the layer DAG "
         "(utils -> data/learners -> errormodels/projection -> "
-        "parallel/telemetry -> core -> eval/baselines -> csax -> "
+        "parallel/telemetry -> core -> eval/baselines -> "
         "experiments -> persistence -> analysis/cli); upward imports "
         "are errors."
     )

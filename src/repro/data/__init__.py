@@ -11,7 +11,6 @@ from repro.data.compendium import (
     table1_rows,
 )
 from repro.data.dataset import Dataset, Replicate
-from repro.data.gene_sets import block_gene_sets, module_gene_sets
 from repro.data.io import read_delimited, write_delimited
 from repro.data.replicates import fixed_split_replicate, make_replicate, make_replicates
 from repro.data.schema import FeatureKind, FeatureSchema, FeatureSpec
@@ -30,8 +29,6 @@ __all__ = [
     "Replicate",
     "read_delimited",
     "write_delimited",
-    "module_gene_sets",
-    "block_gene_sets",
     "make_replicate",
     "make_replicates",
     "fixed_split_replicate",

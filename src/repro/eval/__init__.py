@@ -6,11 +6,6 @@ from repro.eval.harness import (
     EvaluationResult,
     evaluate_on_replicates,
 )
-from repro.eval.significance import (
-    PermutationResult,
-    auc_confidence_interval,
-    auc_permutation_test,
-)
 from repro.eval.stats import (
     MeanStd,
     enrichment_of_top_models,
@@ -29,7 +24,4 @@ __all__ = [
     "mean_std",
     "hypergeom_enrichment",
     "enrichment_of_top_models",
-    "PermutationResult",
-    "auc_permutation_test",
-    "auc_confidence_interval",
 ]

@@ -8,6 +8,7 @@ summary helpers for replicate tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ def mean_std(values) -> MeanStd:
     return MeanStd(mean=float(arr.mean()), std=std, n=int(arr.size))
 
 
+def _count(value) -> int:
+    """``value`` as an int; a float count (even 2.0) is a caller error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"counts must be integers; got {value!r}") from None
+
+
 def hypergeom_enrichment(
     n_hits: int, n_drawn: int, n_interesting: int, n_pool: int
 ) -> float:
@@ -46,10 +55,18 @@ def hypergeom_enrichment(
     disease genes, pool of 4173 SNP features — this is the tail probability
     the paper reports (~0.011 under their accounting).
     """
+    n_hits, n_drawn, n_interesting, n_pool = (
+        _count(v) for v in (n_hits, n_drawn, n_interesting, n_pool)
+    )
     if min(n_hits, n_drawn, n_interesting, n_pool) < 0:
         raise DataError("hypergeometric arguments must be non-negative")
     if n_drawn > n_pool or n_interesting > n_pool:
         raise DataError("drawn/interesting counts cannot exceed the pool")
+    if n_hits > min(n_drawn, n_interesting):
+        raise DataError(
+            f"{n_hits} hits are impossible in {n_drawn} draws "
+            f"from {n_interesting} interesting features"
+        )
     if n_hits == 0:
         return 1.0
     return float(stats.hypergeom.sf(n_hits - 1, n_pool, n_interesting, n_drawn))
@@ -67,7 +84,13 @@ def enrichment_of_top_models(
     ``FRaC.model_quality()``); ``interesting_features`` is the planted
     ground truth (the synthetic stand-in for known disease genes).
     """
-    top = np.asarray(ranked_feature_ids, dtype=np.intp)[:n_top]
+    n_top = _count(n_top)
+    if n_top < 0:
+        raise DataError(f"n_top must be non-negative; got {n_top}")
+    ranked = np.asarray(ranked_feature_ids, dtype=np.intp)
+    if np.unique(ranked).size != ranked.size:
+        raise DataError("ranked_feature_ids repeats a feature id")
+    top = ranked[:n_top]
     interesting = np.asarray(interesting_features, dtype=np.intp)
     n_hits = int(np.isin(top, interesting).sum())
     p = hypergeom_enrichment(n_hits, len(top), len(np.unique(interesting)), n_pool)

@@ -1,4 +1,4 @@
-"""Learner substrate: from-scratch SVMs, CART trees, ridge, and dummies."""
+"""Learner substrate: from-scratch SVMs, CART trees, ridge, kNN and naive Bayes."""
 
 from repro.learners.base import BaseLearner, Classifier, Regressor
 from repro.learners.batched import BatchedRidge
@@ -7,7 +7,6 @@ from repro.learners.decision_tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
 )
-from repro.learners.dummy import MajorityClassifier, MeanRegressor
 from repro.learners.knn import KNNClassifier, KNNRegressor
 from repro.learners.linear_svm import LinearSVC, LinearSVR
 from repro.learners.naive_bayes import CategoricalNB
@@ -34,8 +33,6 @@ __all__ = [
     "KNNRegressor",
     "KNNClassifier",
     "CategoricalNB",
-    "MeanRegressor",
-    "MajorityClassifier",
     "REGRESSORS",
     "CLASSIFIERS",
     "BATCHED_REGRESSORS",

@@ -18,7 +18,6 @@ from repro.learners.decision_tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
 )
-from repro.learners.dummy import MajorityClassifier, MeanRegressor
 from repro.learners.knn import KNNClassifier, KNNRegressor
 from repro.learners.linear_svm import LinearSVC, LinearSVR
 from repro.learners.naive_bayes import CategoricalNB
@@ -29,7 +28,6 @@ REGRESSORS: dict[str, Callable[..., Regressor]] = {
     "ridge": RidgeRegressor,
     "tree_regressor": DecisionTreeRegressor,
     "knn_regressor": KNNRegressor,
-    "mean": MeanRegressor,
 }
 
 #: Regressors with a group counterpart, keyed by the *same* registry name
@@ -60,7 +58,6 @@ CLASSIFIERS: dict[str, Callable[..., Classifier]] = {
     "tree": DecisionTreeClassifier,
     "knn": KNNClassifier,
     "naive_bayes": CategoricalNB,
-    "majority": MajorityClassifier,
 }
 
 

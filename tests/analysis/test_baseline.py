@@ -15,6 +15,8 @@ from repro.analysis.baseline import (
 from repro.utils.exceptions import ReproError
 
 ROOT = Path(__file__).resolve().parents[2]
+#: The paths CI's fraclint job lints and the committed baseline covers.
+LINTED_PATHS = ("src", "tests", "benchmarks", "examples")
 
 
 def _tree(tmp_path, body):
@@ -60,6 +62,17 @@ class TestCollect:
             [ROOT / "src", ROOT / "tests", ROOT / "benchmarks", ROOT / "examples"]
         )
         assert check_budget(baseline, records) == []
+
+    def test_shipped_baseline_equals_a_fresh_regeneration(self, tmp_path, monkeypatch):
+        """A stale count or note in the committed file fails here, not in
+        a later audit: regenerate it the way CI lints (cwd-relative paths)."""
+        monkeypatch.chdir(ROOT)
+        fresh = tmp_path / "baseline.json"
+        update_baseline(
+            fresh, collect_suppressions([Path(p) for p in LINTED_PATHS])
+        )
+        shipped = ROOT / "fraclint-baseline.json"
+        assert fresh.read_text(encoding="utf-8") == shipped.read_text(encoding="utf-8")
 
 
 class TestRoundTrip:
@@ -178,19 +191,19 @@ class TestUpdateBaseline:
         assert key.endswith("m.py::FRL003")
         assert notes == ["sigma floored in fit()"]
 
-    def test_previous_notes_survive_for_surviving_groups(self, tmp_path):
+    def test_previous_notes_are_dropped_for_surviving_groups(self, tmp_path):
         src = _tree(tmp_path, NOTED)
         out = tmp_path / "baseline.json"
         records = collect_suppressions([src])
         update_baseline(out, records)
-        # the directive's wording changes; the old justification is kept
+        # the directive's wording changes; only the tree's wording is kept
         (src / "m.py").write_text(
             "import math\n"
             "x = math.log(0.5)  # fraclint: disable=FRL003 -- new wording\n"
         )
         payload = update_baseline(out, collect_suppressions([src]))
         [(_key, notes)] = payload["notes"].items()
-        assert notes == ["new wording", "sigma floored in fit()"]
+        assert notes == ["new wording"]
 
     def test_dropped_groups_forget_their_notes(self, tmp_path):
         src = _tree(tmp_path, NOTED)

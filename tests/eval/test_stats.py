@@ -59,6 +59,23 @@ class TestHypergeom:
         with pytest.raises(DataError):
             hypergeom_enrichment(-1, 5, 5, 10)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (5, 3, 10, 100),  # more hits than draws
+            (5, 10, 3, 100),  # more hits than interesting features
+            (2.5, 20, 100, 4173),  # non-integer hits
+            (2, 20.0, 100, 4173),  # non-integer draws
+        ],
+    )
+    def test_impossible_counts_rejected(self, args):
+        with pytest.raises(DataError):
+            hypergeom_enrichment(*args)
+
+    def test_numpy_integer_counts_accepted(self):
+        p = hypergeom_enrichment(np.int64(2), np.intp(20), 100, 4173)
+        assert p == hypergeom_enrichment(2, 20, 100, 4173)
+
 
 class TestEnrichmentOfTopModels:
     def test_counts_hits(self):
@@ -75,3 +92,11 @@ class TestEnrichmentOfTopModels:
         hits, p = enrichment_of_top_models(ranked, interesting, n_top=10, n_pool=1000)
         assert hits == 10
         assert p < 1e-10
+
+    def test_negative_n_top_rejected(self):
+        with pytest.raises(DataError):
+            enrichment_of_top_models(np.arange(100), np.arange(10), -5, 100)
+
+    def test_repeated_ranked_ids_rejected(self):
+        with pytest.raises(DataError):
+            enrichment_of_top_models(np.array([1, 1, 1]), np.array([1]), 3, 10)

@@ -3,7 +3,7 @@
 Exercises the integration surface a real adopter would touch, end to end:
 loading their own delimited data, training a variant, saving the fitted
 detector, reloading it in a "different process" (fresh namespace), scoring
-new samples, testing significance, and producing an explanation.
+new samples, checking the AUC, and producing an explanation.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from repro import FRaCConfig, FilteredFRaC, load_detector, save_detector
 from repro.core import explain_samples
 from repro.data import make_expression_dataset, ExpressionConfig, read_delimited, write_delimited
-from repro.eval import auc_permutation_test, auc_score
+from repro.eval import auc_score
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,8 @@ class TestAdoptionWorkflow:
         scores = loaded.score(ds.x)
         np.testing.assert_array_equal(scores, det.score(ds.x))
 
-        # 4. The detector finds the planted anomalies, significantly.
+        # 4. The detector finds the planted anomalies.
         assert auc_score(ds.is_anomaly, scores) > 0.8
-        result = auc_permutation_test(ds.is_anomaly, scores, n_permutations=200, rng=1)
-        assert result.p_value < 0.05
 
         # 5. Explanations point at planted-module features.
         cm = loaded.contributions(ds.anomalies().x[:3])

@@ -1,6 +1,8 @@
-"""Documentation stays runnable: doctests and README snippets."""
+"""Documentation stays runnable: doctests, README snippets and examples."""
 
+import ast
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -34,8 +36,6 @@ class TestReadme:
 
     def test_documented_modules_exist(self, readme):
         """Every repro.* module the architecture section names must import."""
-        import importlib
-
         names = set(re.findall(r"^(repro\.[a-z_.]+)", readme, flags=re.MULTILINE))
         assert len(names) >= 8
         for name in sorted(names):
@@ -50,10 +50,33 @@ class TestReadme:
             assert (ROOT / "benchmarks" / match).exists(), match
 
 
+class TestExamples:
+    """No CI job runs ``examples/``, so a deleted or renamed library name
+    would otherwise leave an example that fails only when a reader runs it.
+    The examples are parsed, not executed."""
+
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "examples").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_imported_repro_names_exist(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] != "repro":
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        # ``from repro.core import engine`` names a submodule.
+                        importlib.import_module(f"{node.module}.{alias.name}")
+
+
 class TestDesignDoc:
     def test_design_references_real_modules(self):
-        import importlib
-
         text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
         for name in set(re.findall(r"`(repro\.[a-z_.]+)`", text)):
             # Entries may name attributes (repro.eval.stats.hypergeom_...);
