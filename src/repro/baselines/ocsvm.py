@@ -19,7 +19,6 @@ preprocessing conventional with libSVM.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.imputation import Preprocessor
 from repro.core.types import AnomalyDetector
@@ -53,6 +52,9 @@ class OneClassSVM(AnomalyDetector):
         return out / self._scale
 
     def fit(self, x_train: np.ndarray, schema: FeatureSchema) -> "OneClassSVM":
+        # Imported here so that ``import repro`` does not load scipy.optimize.
+        from scipy import optimize
+
         x_train = check_2d(x_train, "x_train")
         if x_train.shape[0] < 2:
             raise DataError("one-class SVM needs at least 2 training samples")

@@ -36,7 +36,6 @@ from repro.core.interpretation import (
     SampleExplanation,
     explain_samples,
     jl_feature_attribution,
-    model_report,
 )
 from repro.core.preprojection import JLFRaC
 from repro.core.types import AnomalyDetector, ContributionMatrix, FeatureModel
@@ -73,5 +72,4 @@ __all__ = [
     "SampleExplanation",
     "explain_samples",
     "jl_feature_attribution",
-    "model_report",
 ]

@@ -3,8 +3,7 @@
 "It is not enough to determine that a sample is anomalous; we also want to
 derive a molecular characterization of that specific anomaly" (paper §I).
 Because NS is a per-feature sum, FRaC is directly interpretable: this
-module turns fitted detectors and contribution matrices into structured
-per-sample and per-model reports.
+module turns contribution matrices into structured per-sample reports.
 
 For the JL variant, projected components are linear mixes of original
 features; :func:`jl_feature_attribution` pushes component contributions
@@ -117,26 +116,3 @@ def jl_feature_attribution(
     for j, (start, stop) in enumerate(encoder.column_spans):
         out[:, j] = encoded_attr[:, start:stop].sum(axis=1)
     return out
-
-
-def model_report(
-    detector, *, n_top: int = 20, feature_names: "Sequence[str] | None" = None
-) -> list[dict[str, object]]:
-    """Rows describing the most predictive feature models (paper §IV).
-
-    Works with any detector exposing ``model_quality()`` (FRaC and the
-    filtering/diverse variants).
-    """
-    quality = detector.model_quality()
-    rows = []
-    for fid, gain in quality[:n_top]:
-        fid = int(fid)
-        name = (
-            feature_names[fid]
-            if feature_names is not None and 0 <= fid < len(feature_names)
-            else f"f{fid}"
-        )
-        rows.append(
-            {"feature": name, "feature_id": fid, "information_gain": float(gain)}
-        )
-    return rows

@@ -8,13 +8,21 @@ uniformly random normal one, counting ties as half.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.exceptions import DataError
 
 
 def _validate(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels, dtype=bool).ravel()
+    labels = np.asarray(labels).ravel()
+    if labels.dtype != bool:
+        if labels.dtype.kind not in "iuf":
+            raise DataError(f"labels must be boolean or 0/1; got dtype {labels.dtype}")
+        bad = ~np.isin(labels, (0, 1))
+        if bad.any():
+            raise DataError(
+                f"labels must be boolean or 0/1; got {np.unique(labels[bad])[:5].tolist()}"
+            )
+        labels = labels.astype(bool)
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if labels.shape != scores.shape:
         raise DataError(
@@ -31,10 +39,26 @@ def _validate(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.nd
     return labels, scores
 
 
+def _midranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``scores``, each tie run given its mean rank.
+
+    A run occupying sorted positions ``start .. end - 1`` gets rank
+    ``(start + end + 1) / 2``: an exact half-integer, so these equal
+    ``scipy.stats.rankdata(scores, method="average")`` bit for bit.
+    """
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(scores))
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve; higher scores should mark anomalies."""
     labels, scores = _validate(labels, scores)
-    ranks = stats.rankdata(scores)  # midranks for ties
+    ranks = _midranks(scores)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0

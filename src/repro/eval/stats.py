@@ -8,11 +8,11 @@ summary helpers for replicate tables.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.exceptions import DataError
 
@@ -52,8 +52,9 @@ def hypergeom_enrichment(
     """P(X >= n_hits) for X ~ Hypergeom(pool, interesting, drawn).
 
     With the paper's numbers — 2 hits among the top 20 models, 100 known
-    disease genes, pool of 4173 SNP features — this is the tail probability
-    the paper reports (~0.011 under their accounting).
+    disease genes, pool of 4173 SNP features — P(X >= 2) is 0.0817; the
+    paper's 0.011 is the strict tail P(X > 2), i.e. ``n_hits=3``
+    (EXPERIMENTS.md, paper discrepancy 2).
     """
     n_hits, n_drawn, n_interesting, n_pool = (
         _count(v) for v in (n_hits, n_drawn, n_interesting, n_pool)
@@ -67,9 +68,12 @@ def hypergeom_enrichment(
             f"{n_hits} hits are impossible in {n_drawn} draws "
             f"from {n_interesting} interesting features"
         )
-    if n_hits == 0:
-        return 1.0
-    return float(stats.hypergeom.sf(n_hits - 1, n_pool, n_interesting, n_drawn))
+    # Exact integer tail over C(pool, drawn) ways; int / int rounds once.
+    ways = sum(
+        math.comb(n_interesting, i) * math.comb(n_pool - n_interesting, n_drawn - i)
+        for i in range(n_hits, min(n_drawn, n_interesting) + 1)
+    )
+    return ways / math.comb(n_pool, n_drawn)
 
 
 def enrichment_of_top_models(

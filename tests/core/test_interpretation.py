@@ -8,7 +8,6 @@ from repro.core.interpretation import (
     FeatureContribution,
     explain_samples,
     jl_feature_attribution,
-    model_report,
 )
 from repro.core.preprojection import JLFRaC
 from repro.core.types import ContributionMatrix
@@ -85,20 +84,3 @@ class TestJLAttribution:
         cm = det.contributions(rep.x_test)
         positive_totals = np.maximum(cm.values, 0).sum(axis=1)
         np.testing.assert_allclose(attr.sum(axis=1), positive_totals, rtol=1e-8)
-
-
-class TestModelReport:
-    def test_rows_sorted_by_gain(self, expression_replicate, fast_config):
-        rep = expression_replicate
-        frac = FRaC(fast_config, rng=0).fit(rep.x_train, rep.schema)
-        rows = model_report(frac, n_top=5)
-        assert len(rows) == 5
-        gains = [r["information_gain"] for r in rows]
-        assert gains == sorted(gains, reverse=True)
-
-    def test_names(self, expression_replicate, fast_config):
-        rep = expression_replicate
-        frac = FRaC(fast_config, rng=0).fit(rep.x_train, rep.schema)
-        names = [f"g{i}" for i in range(rep.n_features)]
-        rows = model_report(frac, n_top=3, feature_names=names)
-        assert all(r["feature"].startswith("g") for r in rows)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sps
 
 from repro.eval.auc import auc_from_curve, auc_score, roc_curve
 from repro.utils.exceptions import DataError
@@ -42,6 +43,44 @@ class TestAUC:
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(DataError):
             auc_score(np.array([True, False]), np.array([np.nan, 0.5]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_rankdata_formula_exactly(self, seed):
+        """Tie-heavy integer scores: bitwise the Mann-Whitney U from
+        ``scipy.stats.rankdata`` midranks."""
+        gen = np.random.default_rng(seed)
+        for _ in range(100):
+            n = int(gen.integers(2, 60))
+            scores = gen.integers(0, int(gen.integers(1, 8)), n).astype(np.float64)
+            labels = gen.random(n) < 0.4
+            labels[0], labels[1] = True, False
+            n_pos = int(labels.sum())
+            u = sps.rankdata(scores)[labels].sum() - n_pos * (n_pos + 1) / 2.0
+            assert auc_score(labels, scores) == float(u / (n_pos * (n - n_pos)))
+
+    def test_integer_and_float_01_labels_match_bool(self):
+        scores = np.array([0.1, 0.9, 0.2, 0.8, 0.5])
+        expected = auc_score(np.array([False, True, False, True, True]), scores)
+        assert auc_score([0, 1, 0, 1, 1], scores) == expected
+        assert auc_score([0.0, 1.0, 0.0, 1.0, 1.0], scores) == expected
+
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            ([0, 2, 0, 1], "2"),
+            ([0, np.nan, 0, 1], "nan"),
+            ([0, 0.3, 0, 1], "0.3"),
+            ([-1, 1, -1, 1], "-1"),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [auc_score, roc_curve])
+    def test_non_binary_labels_rejected(self, fn, labels, named):
+        with pytest.raises(DataError, match=named):
+            fn(labels, [0.1, 0.9, 0.2, 0.8])
+
+    def test_non_numeric_labels_rejected(self):
+        with pytest.raises(DataError, match="labels"):
+            auc_score(["a", "b", "a", "b"], [0.1, 0.9, 0.2, 0.8])
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,8 @@
 """Tests for statistics helpers."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -39,12 +42,33 @@ class TestHypergeom:
         assert p == pytest.approx(expected)
 
     def test_paper_calculation_shape(self):
-        """§IV: 2 hits in the top 20 from 100 interesting in a 4173 pool is
-        a small-probability event (the paper reports 0.011; the exact tail
-        of the stated parameters is ~0.08 — same order, documented in
-        EXPERIMENTS.md)."""
-        p = hypergeom_enrichment(2, 20, 100, 4173)
-        assert p < 0.1
+        """§IV: 2 hits in the top 20 from 100 interesting in a 4173 pool.
+        The paper's 0.011 is the strict tail P(X > 2) = P(X >= 3); the tail
+        P(X >= 2) is 0.0817 (EXPERIMENTS.md, Deviations item 2)."""
+        assert round(hypergeom_enrichment(2, 20, 100, 4173), 4) == 0.0817
+        assert round(hypergeom_enrichment(3, 20, 100, 4173), 5) == 0.01132
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 20, 100, 4173),
+            (3, 20, 100, 4173),
+            (0, 20, 100, 4173),
+            (1, 1, 1, 2),
+            (7, 40, 60, 500),
+            (12, 400, 1000, 19739),
+        ],
+    )
+    def test_exact_against_fraction_oracle(self, args):
+        k, drawn, interesting, pool = args
+        tail = sum(
+            Fraction(
+                math.comb(interesting, i) * math.comb(pool - interesting, drawn - i),
+                math.comb(pool, drawn),
+            )
+            for i in range(k, min(drawn, interesting) + 1)
+        )
+        assert hypergeom_enrichment(*args) == float(tail)
 
     def test_zero_hits_is_one(self):
         assert hypergeom_enrichment(0, 20, 100, 4173) == 1.0
