@@ -8,6 +8,7 @@ from typing import Mapping
 
 from repro.parallel.executor import ExecutionConfig
 from repro.utils.exceptions import DataError
+from repro.utils.validation import check_count
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,9 @@ class FRaCConfig:
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def __post_init__(self) -> None:
-        if self.n_folds < 2:
-            raise DataError(f"n_folds must be >= 2; got {self.n_folds}")
-        if self.n_predictors < 1:
-            raise DataError(f"n_predictors must be >= 1; got {self.n_predictors}")
-        if self.min_observed < 2:
-            raise DataError(f"min_observed must be >= 2; got {self.min_observed}")
+        check_count(self.n_folds, "n_folds", 2)
+        check_count(self.n_predictors, "n_predictors", 1)
+        check_count(self.min_observed, "min_observed", 2)
         # NaN fails every comparison, so a `<= 0` test would let it through.
         for name in ("sigma_floor", "confusion_smoothing"):
             value = getattr(self, name)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import FRaCConfig
-from repro.core.frac import FRaC, diverse_selector
+from repro.core.frac import FRaC, TrainingSet, diverse_selector
 from repro.core.types import AnomalyDetector, ContributionMatrix
 from repro.data.schema import FeatureSchema
 from repro.parallel.resources import ResourceReport
 from repro.utils.exceptions import NotFittedError
 from repro.utils.rng import spawn_seeds
-from repro.utils.validation import check_2d, check_probability
+from repro.utils.validation import check_probability
 
 
 class DiverseFRaC(AnomalyDetector):
@@ -61,14 +61,19 @@ class DiverseFRaC(AnomalyDetector):
         self._inner: "FRaC | None" = None
 
     def fit(self, x_train: np.ndarray, schema: FeatureSchema) -> "DiverseFRaC":
-        x_train = check_2d(x_train, "x_train")
+        return self.fit_prepared(
+            TrainingSet(x_train, schema, standardize=self.config.standardize)
+        )
+
+    def fit_prepared(self, training: TrainingSet) -> "DiverseFRaC":
+        """:meth:`fit` on a prepared training set (see :meth:`FRaC.fit_prepared`)."""
         (seed_inner,) = spawn_seeds(self._rng, 1)
         self._inner = FRaC(
             self.config,
-            input_selector=diverse_selector(len(schema), self.p),
+            input_selector=diverse_selector(len(training.schema), self.p),
             rng=seed_inner,
         )
-        self._inner.fit(x_train, schema)
+        self._inner.fit_prepared(training)
         return self
 
     def contributions(self, x_test: np.ndarray) -> ContributionMatrix:

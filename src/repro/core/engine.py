@@ -9,7 +9,8 @@ item:
 3. fits the error model (Gaussian residual / confusion matrix) on those
    pairs;
 4. refits the predictor on all usable rows;
-5. estimates the feature's training-set entropy.
+5. takes the feature's training-set entropy, computed before any item
+   runs (:class:`SharedTrainState`).
 
 Items only carry small picklable payloads (:class:`FeatureTask`); the
 training matrix travels through the executor's shared-state channel (see
@@ -41,7 +42,10 @@ predictors:
   fold loop of fresh predictors.
 
 The tail is written once per target kind and batched across the group:
-the error-model fits, the entropies and the CV mean surprisals.
+the error-model fits and the CV mean surprisals. The entropies are not
+computed here: the parent computes each target's once per training set,
+before any batch runs, and the batch reads them from
+:class:`SharedTrainState`.
 
 :func:`run_feature_task` is a batch of one. :func:`run_feature_tasks`, the
 entry point, groups the tasks by target kind and observed-row mask
@@ -73,10 +77,9 @@ from repro.core.config import FRaCConfig
 from repro.core.types import FeatureModel
 from repro.data.schema import FeatureSchema
 from repro.errormodels.confusion import ConfusionErrorModel
-from repro.errormodels.entropy import batch_discrete_entropy
+from repro.errormodels.entropy import dataset_entropies
 from repro.errormodels.gaussian import GaussianErrorModel
-from repro.errormodels.kde import batch_entropy
-from repro.learners.batched import all_others_column
+from repro.learners.batched import all_others_column, fitted_ridge
 from repro.learners.registry import (
     BATCHED_CLASSIFIERS,
     BATCHED_REGRESSORS,
@@ -123,6 +126,14 @@ class SharedTrainState:
     usable-row count draws the identical permutation (see
     :func:`fold_rng`), which is what lets the batched planner group tasks
     by their usable rows and know the fold layout matches too.
+
+    ``entropies`` holds the training-set entropy of each feature with at
+    least ``config.min_observed`` observed target rows (NaN elsewhere),
+    computed in the parent before any task runs; workers only read it.
+    When it is not given, it is computed here for every such feature
+    (:func:`~repro.errormodels.entropy.dataset_entropies` on
+    ``x_targets``). :class:`repro.core.frac.TrainingSet` passes the
+    entropies it computed once for every fit that shares it.
     """
 
     x_imputed: np.ndarray
@@ -130,6 +141,15 @@ class SharedTrainState:
     schema: FeatureSchema
     config: FRaCConfig
     fold_seed: int = 0
+    entropies: "np.ndarray | None" = None
+
+    def __post_init__(self) -> None:
+        if self.entropies is None:
+            n_observed = (~np.isnan(self.x_targets)).sum(axis=0)
+            modelled = np.flatnonzero(n_observed >= self.config.min_observed)
+            entropies = np.full(len(self.schema), np.nan)
+            entropies[modelled] = dataset_entropies(self.x_targets, self.schema, modelled)
+            object.__setattr__(self, "entropies", entropies)
 
 
 def fold_rng(fold_seed: int, n: int) -> np.random.Generator:
@@ -397,13 +417,14 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
     - :func:`_fit_each_member` otherwise: each member's own fold loop on
       its own ``np.ix_`` design gather.
 
-    The tail after that — error models, entropies, CV mean surprisals —
-    is one batched call each on the member-major ``(k, n)`` stacks
+    The tail after that — error models, CV mean surprisals — is one
+    batched call each on the member-major ``(k, n)`` stacks
     ``preds`` / ``ys``, bitwise equal per member to the reference
     implementations in ``tests/errormodels/reference.py`` (see the
-    ``batch_*`` functions of :mod:`repro.errormodels`). Members share
-    their rows by construction, so the under-``min_observed`` check
-    decides once for the whole group.
+    ``batch_*`` functions of :mod:`repro.errormodels`); each member's
+    entropy is read from ``shared.entropies``. Members share their rows
+    by construction, so the under-``min_observed`` check decides once for
+    the whole group.
 
     Each execution is bracketed by a ``fit.batch`` span whose attrs carry
     the batch size and the planner's group fingerprint, so a trace alone
@@ -456,11 +477,10 @@ def run_feature_batch(batch: FeatureBatch) -> "list[tuple[FeatureModel, TaskCost
             error_models = error_type.batch_fit(
                 preds, ys, arities, smoothing=cfg.confusion_smoothing
             )
-            entropies = batch_discrete_entropy(ys, arities)
         else:
             error_type = GaussianErrorModel
             error_models = error_type.batch_fit(preds, ys, sigma_floor=cfg.sigma_floor)
-            entropies = batch_entropy(ys)
+        entropies = shared.entropies[feat]
         cv_means = error_type.batch_surprisal(error_models, preds, ys).mean(axis=1)
         shared_cpu = cpu_seconds() - start
         out: "list[tuple[FeatureModel, TaskCost] | None]" = []
@@ -525,9 +545,9 @@ def _fit_real_group(batch, cfg, x_full, ys, ids_list, folds):
         # C-contiguous rows replay.
         y_fold = np.ascontiguousarray(ys[:, train_idx])
         if not np.isfinite(y_fold).all():
-            # The same error fit_column raises per member; failing the
-            # batch decomposes it into batches of one, which report it
-            # with the offending feature attached.
+            # The member solves validate nothing; failing the batch
+            # decomposes it into batches of one, which report it with the
+            # offending feature attached.
             raise ValueError("target y contains non-finite values")
         # Contiguous-row axis-1 reductions run the same pairwise kernel
         # as each member's scalar y.mean(); broadcast centering is
@@ -540,14 +560,14 @@ def _fit_real_group(batch, cfg, x_full, ys, ids_list, folds):
             if a is not None:
                 preds[j, holdout_idx] = shared.predict(kernel, i, a, y_means[j])
             else:
-                model = solver.member(ids_list[j]).solve_centered(y_centered[j], y_means[j])
+                coef, intercept = solver.member(ids_list[j])(y_centered[j], y_means[j])
                 # The gemv predict() runs, minus its isfinite re-scan of
-                # rows validated once above. ascontiguousarray: the column
-                # gather is F-contiguous and gemv dispatches differently
-                # there; RidgeRegressor.predict on an np.ix_ gather sees
-                # C-contiguous rows, so replay that layout.
-                x_m = np.ascontiguousarray(x_holdout[:, ids_list[j]])
-                preds[j, holdout_idx] = x_m @ model.coef_ + model.intercept_
+                # rows validated once above. take(axis=1) gathers
+                # C-contiguous rows, the layout RidgeRegressor.predict sees
+                # on an np.ix_ gather (gemv dispatches differently on the
+                # F-contiguous x_holdout[:, ids]).
+                x_m = x_holdout.take(ids_list[j], axis=1)
+                preds[j, holdout_idx] = x_m @ coef + intercept
             _emit_fold_trained(bus, task, fold, len(folds))
 
     final = learner.masked_solver(x_full, check=False)
@@ -555,12 +575,12 @@ def _fit_real_group(batch, cfg, x_full, ys, ids_list, folds):
 
     def refit(j):
         i = dropped[j]
+        y_mean = ys[j].mean()
         if final_shared is not None and i is not None:
-            y_mean = ys[j].mean()
             a = final_shared.weights(i, ys[j] - y_mean)
             if a is not None:
                 return final_shared.regressor(i, a, y_mean)
-        return final.member(ids_list[j]).fit_column(ys[j])
+        return fitted_ridge(learner.alpha, *final.member(ids_list[j])(ys[j] - y_mean, y_mean))
 
     return preds, refit
 

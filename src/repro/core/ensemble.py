@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.config import FRaCConfig
 from repro.core.diverse import DiverseFRaC
 from repro.core.filtering import FilteredFRaC
+from repro.core.frac import TrainingSet
 from repro.core.types import AnomalyDetector, ContributionMatrix
 from repro.data.schema import FeatureSchema
 from repro.parallel.faults import FailureReport
@@ -25,10 +26,11 @@ from repro.parallel.resources import ResourceReport
 from repro.telemetry.spans import span
 from repro.utils.exceptions import DataError, NotFittedError
 from repro.utils.rng import spawn_seeds
-from repro.utils.validation import check_2d
+from repro.utils.validation import check_2d, check_count
 
 #: A member factory builds one (unfitted) detector from its member index
-#: and seed. Members must expose ``contributions``.
+#: and seed. Members must expose ``config``, ``fit_prepared`` and
+#: ``contributions`` (:class:`DiverseFRaC`, :class:`FilteredFRaC`).
 MemberFactory = Callable[[int, np.random.SeedSequence], AnomalyDetector]
 
 
@@ -68,7 +70,13 @@ def combine_contributions(members: Sequence[ContributionMatrix]) -> np.ndarray:
 
 
 class FRaCEnsemble(AnomalyDetector):
-    """An ensemble of independently-seeded FRaC variant members."""
+    """An ensemble of independently-seeded FRaC variant members.
+
+    Members train on one shared :class:`~repro.core.frac.TrainingSet`, so
+    the training matrix is preprocessed once and each target's entropy
+    computed once per ensemble fit; they must therefore agree on
+    ``config.standardize``.
+    """
 
     def __init__(
         self,
@@ -76,10 +84,8 @@ class FRaCEnsemble(AnomalyDetector):
         n_members: int = 10,
         rng: "int | np.random.Generator | None" = None,
     ) -> None:
-        if n_members < 1:
-            raise DataError(f"n_members must be >= 1; got {n_members}")
         self.member_factory = member_factory
-        self.n_members = int(n_members)
+        self.n_members = check_count(n_members, "n_members", 1)
         self._rng = rng
         self.members_: "list[AnomalyDetector] | None" = None
         #: Union of the members' per-feature failure reports (features a
@@ -87,15 +93,13 @@ class FRaCEnsemble(AnomalyDetector):
         self.failure_report_: "FailureReport | None" = None
 
     def fit(self, x_train: np.ndarray, schema: FeatureSchema) -> "FRaCEnsemble":
-        x_train = check_2d(x_train, "x_train")
         seeds = spawn_seeds(self._rng, self.n_members)
-        members = []
+        members = [self.member_factory(i, seed) for i, seed in enumerate(seeds)]
+        training = TrainingSet(x_train, schema, standardize=members[0].config.standardize)
         report = FailureReport()
-        for i, seed in enumerate(seeds):
+        for i, member in enumerate(members):
             with span(f"ensemble.member[{i}]"):
-                member = self.member_factory(i, seed)
-                member.fit(x_train, schema)
-            members.append(member)
+                member.fit_prepared(training)
             member_report = getattr(member, "failure_report_", None)
             if member_report is not None:
                 report.extend(member_report)

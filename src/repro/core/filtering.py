@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import FRaCConfig
-from repro.core.frac import FRaC, subset_selector
+from repro.core.frac import FRaC, TrainingSet, subset_selector
 from repro.core.types import AnomalyDetector, ContributionMatrix
 from repro.data.schema import FeatureSchema
 from repro.errormodels.entropy import dataset_entropies
@@ -99,12 +99,18 @@ class FilteredFRaC(AnomalyDetector):
         self._inner: "FRaC | None" = None
 
     def fit(self, x_train: np.ndarray, schema: FeatureSchema) -> "FilteredFRaC":
-        x_train = check_2d(x_train, "x_train")
+        return self.fit_prepared(
+            TrainingSet(x_train, schema, standardize=self.config.standardize)
+        )
+
+    def fit_prepared(self, training: TrainingSet) -> "FilteredFRaC":
+        """:meth:`fit` on a prepared training set (see :meth:`FRaC.fit_prepared`)."""
+        schema = training.schema
         seed_select, seed_inner = spawn_seeds(self._rng, 2)
         if self.method == "random":
             kept = random_filter(len(schema), self.p, np.random.default_rng(seed_select))
         else:
-            kept = entropy_filter(x_train, schema, self.p)
+            kept = entropy_filter(training.x_train, schema, self.p)
         self.kept_features_ = kept
         if self.mode == "full":
             # Only kept columns are resident: models never touch the rest.
@@ -117,7 +123,7 @@ class FilteredFRaC(AnomalyDetector):
             )
         else:
             self._inner = FRaC(self.config, target_features=kept, rng=seed_inner)
-        self._inner.fit(x_train, schema)
+        self._inner.fit_prepared(training)
         return self
 
     def contributions(self, x_test: np.ndarray) -> ContributionMatrix:

@@ -30,6 +30,7 @@ from repro.core.engine import (
 from repro.core.imputation import Preprocessor
 from repro.core.types import AnomalyDetector, ContributionMatrix, FeatureModel
 from repro.data.schema import FeatureSchema
+from repro.errormodels.entropy import dataset_entropies
 from repro.parallel.faults import FailureReport, FaultPlan
 from repro.parallel.resources import ResourceLog, ResourceReport, design_matrix_bytes
 from repro.telemetry.events import RunFinished, RunStarted, ScoreComputed
@@ -132,6 +133,59 @@ def diverse_selector(n_features: int, p: float) -> InputSelector:
     return _DiverseSelector(n_features, p)
 
 
+class TrainingSet:
+    """One training matrix, prepared once for every fit that trains on it.
+
+    Building it fits the :class:`~repro.core.imputation.Preprocessor` on
+    ``x_train`` and keeps the two views the engine reads: ``x_imputed``
+    (model inputs, every entry finite) and ``x_targets`` (target reads,
+    missing entries NaN), in standardized units when ``standardize``.
+    :meth:`entropies` computes each target's training-set entropy at most
+    once. :meth:`FRaC.fit` builds its own; an ensemble builds one and
+    passes it to every member (:class:`repro.core.ensemble.FRaCEnsemble`),
+    so its members share the preprocessor, both views and the entropies.
+    Fits only read it, apart from the entropy memo, which a fit fills in
+    the parent before its tasks run.
+    """
+
+    def __init__(
+        self, x_train: np.ndarray, schema: FeatureSchema, *, standardize: bool = True
+    ) -> None:
+        x_train = check_2d(x_train, "x_train")
+        if x_train.shape[1] != len(schema):
+            raise DataError(
+                f"x_train has {x_train.shape[1]} columns, schema {len(schema)}"
+            )
+        self.x_train = x_train
+        self.schema = schema
+        self.standardize = bool(standardize)
+        with span("fit.preprocess"):
+            self.preprocessor = Preprocessor(schema, standardize=standardize).fit(x_train)
+            self.x_imputed = self.preprocessor.transform(x_train)
+            self.x_targets = self.preprocessor.transform_keep_missing(x_train)
+        self._n_observed = (~np.isnan(self.x_targets)).sum(axis=0)
+        self._entropies = np.full(len(schema), np.nan)
+
+    def entropies(self, targets: np.ndarray, min_observed: int) -> np.ndarray:
+        """Per-feature entropies for the fit of ``targets``.
+
+        A ``(n_features,)`` array holding the training-set entropy of each
+        target with at least ``min_observed`` observed rows (the targets
+        that get models) and NaN elsewhere. Targets no earlier call asked
+        for are computed now, in one
+        :func:`~repro.errormodels.entropy.dataset_entropies` call; an
+        entropy is bitwise the same whichever targets share its call.
+        """
+        targets = np.unique(np.asarray(targets, dtype=np.intp))
+        modelled = targets[self._n_observed[targets] >= min_observed]
+        new = modelled[np.isnan(self._entropies[modelled])]
+        if len(new):
+            self._entropies[new] = dataset_entropies(self.x_targets, self.schema, new)
+        out = np.full(len(self.schema), np.nan)
+        out[modelled] = self._entropies[modelled]
+        return out
+
+
 class FRaC(AnomalyDetector):
     """Feature Regression and Classification anomaly detector.
 
@@ -186,7 +240,9 @@ class FRaC(AnomalyDetector):
     ) -> "FRaC":
         """Train one feature model per (target, slot) work item.
 
-        ``checkpoint`` (a :class:`repro.parallel.CheckpointJournal`)
+        Prepares ``x_train`` (a :class:`TrainingSet`) and trains on it
+        through :meth:`fit_prepared`. ``checkpoint`` (a
+        :class:`repro.parallel.CheckpointJournal`)
         streams completed items to disk and resumes a killed run,
         re-executing only missing items; ``fault_plan`` is the
         test-suite's deterministic fault-injection hook. Fault-handling
@@ -196,11 +252,28 @@ class FRaC(AnomalyDetector):
         the NS sum exactly like under-observed features (the "otherwise:
         0" branch).
         """
-        x_train = check_2d(x_train, "x_train")
-        if x_train.shape[1] != len(schema):
+        training = TrainingSet(x_train, schema, standardize=self.config.standardize)
+        return self.fit_prepared(training, checkpoint=checkpoint, fault_plan=fault_plan)
+
+    def fit_prepared(
+        self,
+        training: TrainingSet,
+        *,
+        checkpoint: Any = None,
+        fault_plan: "FaultPlan | None" = None,
+    ) -> "FRaC":
+        """:meth:`fit` on a prepared training set, which other fits may share.
+
+        ``training`` must have been prepared with this detector's
+        ``config.standardize``.
+        """
+        if training.standardize != self.config.standardize:
             raise DataError(
-                f"x_train has {x_train.shape[1]} columns, schema {len(schema)}"
+                f"training set prepared with standardize={training.standardize}, "
+                f"but this detector's config has standardize={self.config.standardize}"
             )
+        schema = training.schema
+        n_samples = training.x_train.shape[0]
         n_features = len(schema)
         targets = (
             np.arange(n_features)
@@ -215,15 +288,13 @@ class FRaC(AnomalyDetector):
 
         resident = self._resident_features if self._resident_features is not None else n_features
         log = ResourceLog(
-            data_bytes=design_matrix_bytes(x_train.shape[0], resident),
+            data_bytes=design_matrix_bytes(n_samples, resident),
             n_workers=self.config.execution.effective_workers,
         )
 
         with log.measure_overhead():
-            with span("fit.preprocess"):
-                self._pre = Preprocessor(schema, standardize=self.config.standardize).fit(x_train)
-                x_imputed = self._pre.transform(x_train)
-                x_targets = self._pre.transform_keep_missing(x_train)
+            self._pre = training.preprocessor
+            entropies = training.entropies(targets, self.config.min_observed)
 
             with span("fit.build_tasks"):
                 # One extra child beyond the per-task seeds: the run's fold
@@ -255,16 +326,17 @@ class FRaC(AnomalyDetector):
                         k += 1
 
         shared = SharedTrainState(
-            x_imputed=x_imputed,
-            x_targets=x_targets,
+            x_imputed=training.x_imputed,
+            x_targets=training.x_targets,
             schema=schema,
             config=self.config,
             fold_seed=fold_seed,
+            entropies=entropies,
         )
         _log.info(
             "fitting %d feature models (%d samples, %s mode, %d worker(s))",
             len(tasks),
-            x_train.shape[0],
+            n_samples,
             self.config.execution.mode,
             self.config.execution.effective_workers,
         )
@@ -275,7 +347,7 @@ class FRaC(AnomalyDetector):
                 RunStarted(
                     kind="frac.fit",
                     n_tasks=len(tasks),
-                    n_samples=int(x_train.shape[0]),
+                    n_samples=int(n_samples),
                     mode=self.config.execution.mode,
                     n_workers=self.config.execution.effective_workers,
                 )

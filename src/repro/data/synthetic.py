@@ -125,7 +125,11 @@ def make_expression_dataset(
     Returns a :class:`Dataset` whose ``metadata`` records the planted
     structure: ``module_of`` (feature -> module id, -1 for irrelevant
     features) and ``relevant_features`` (sorted indices), which the
-    enrichment analysis (paper §IV) tests against.
+    enrichment analysis (paper §IV) tests against; and, per anomaly in
+    row order, ``disrupted_features`` (the sorted feature ids its
+    disruption re-drew; empty when the fraction rounds to none) and, in
+    ``"module"`` mode, ``disrupted_modules``. Recording them draws no
+    random numbers.
     """
     cfg = config
     gen = as_generator(rng)
@@ -161,6 +165,7 @@ def make_expression_dataset(
     # factor for an independent draw of identical variance.
     rel_idx = np.flatnonzero(relevant)
     disrupted_modules: list[np.ndarray] = []
+    disrupted_features: list[np.ndarray] = []
     for s in range(cfg.n_normal, n):
         if cfg.disrupt_mode == "module":
             n_mods = max(1, int(round(cfg.disrupt_fraction * cfg.n_modules)))
@@ -170,8 +175,10 @@ def make_expression_dataset(
         else:
             k = int(round(cfg.disrupt_fraction * len(rel_idx)))
             if k == 0:
+                disrupted_features.append(np.empty(0, dtype=np.intp))
                 continue
             chosen = gen.choice(rel_idx, size=k, replace=False)
+        disrupted_features.append(np.sort(chosen))
         fresh = gen.standard_normal(len(chosen))
         x[s, chosen] = fresh * loadings[chosen] + gen.normal(
             0.0, cfg.noise_sd, size=len(chosen)
@@ -194,6 +201,7 @@ def make_expression_dataset(
             "module_of": module_of,
             "relevant_features": np.sort(rel_idx),
             "disrupted_modules": disrupted_modules,
+            "disrupted_features": disrupted_features,
             "config": cfg,
         },
     )

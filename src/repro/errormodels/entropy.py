@@ -53,31 +53,39 @@ def batch_discrete_entropy(values: np.ndarray, arities: "list[int]") -> np.ndarr
     return out
 
 
-def dataset_entropies(x: np.ndarray, schema: FeatureSchema) -> np.ndarray:
-    """Per-feature entropies for a whole (training) matrix.
+def dataset_entropies(
+    x: np.ndarray, schema: FeatureSchema, columns: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Per-feature entropies of a whole (training) matrix, or of ``columns``.
 
-    Missing (NaN) values are left out of each column's estimate. Columns
-    are grouped by (kind, observed-row mask), as the engine's planner
-    groups targets, and each group's observed rows go through one
-    :func:`batch_discrete_entropy` or :func:`~repro.errormodels.kde.batch_entropy`
-    call; each column's entropy is bitwise the per-column reference
-    estimate of its kind (``tests/errormodels/reference.py``).
+    Returns one entropy per listed column (default: every column), in the
+    order given. Missing (NaN) values are left out of each column's
+    estimate. Columns are grouped by (kind, observed-row mask), as the
+    engine's planner groups targets, and each group's observed rows go
+    through one :func:`batch_discrete_entropy` or
+    :func:`~repro.errormodels.kde.batch_entropy` call; each column's
+    entropy is bitwise the per-column reference estimate of its kind
+    (``tests/errormodels/reference.py``), whichever columns share its call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != len(schema):
         raise DataError(
             f"matrix has {x.shape[1]} columns but schema describes {len(schema)}"
         )
+    columns = (
+        np.arange(len(schema)) if columns is None else np.asarray(columns, dtype=np.intp)
+    )
     observed = ~np.isnan(x)
     groups: "dict[tuple[bool, bytes], list[int]]" = {}
-    for j in range(len(schema)):
-        key = (schema[j].is_categorical, observed[:, j].tobytes())
-        groups.setdefault(key, []).append(j)
-    out = np.empty(len(schema))
-    for (categorical, _), cols in groups.items():
+    for pos, j in enumerate(columns):
+        key = (schema[int(j)].is_categorical, observed[:, j].tobytes())
+        groups.setdefault(key, []).append(pos)
+    out = np.empty(len(columns))
+    for (categorical, _), positions in groups.items():
+        cols = columns[positions]
         stack = x.T[np.ix_(cols, np.flatnonzero(observed[:, cols[0]]))]
         if categorical:
-            out[cols] = batch_discrete_entropy(stack, [schema[j].arity for j in cols])
+            out[positions] = batch_discrete_entropy(stack, [schema[int(j)].arity for j in cols])
         else:
-            out[cols] = batch_entropy(stack)
+            out[positions] = batch_entropy(stack)
     return out

@@ -5,8 +5,8 @@ rows share the row gather, the fold layout, and — for ridge — the column
 means and the centered design. :class:`BatchedRidge` exploits that:
 :meth:`BatchedRidge.masked_solver` precomputes the shared state once per
 (group, fold) on the full-width design, and each member scopes it to its
-own input subset through :meth:`RidgeMaskedSolver.member`, which returns
-a :class:`RidgeColumnSolver` for that member's design. The engine's one
+own input subset through :meth:`RidgeMaskedSolver.member`, which factors
+that member's Gram and returns its solve. The engine's one
 training path (:func:`repro.core.engine.run_feature_batch`) trains every
 ridge feature model this way, alone or in a group, except all-others
 members in the dual regime, which share one factorization per design
@@ -14,9 +14,9 @@ through :meth:`RidgeMaskedSolver.solver` (see the last section).
 
 Outside the all-others dual case (below), the contract is **bitwise
 equivalence**: for every member ``(ids, y)``,
-``BatchedRidge(alpha).masked_solver(x).member(ids).fit_column(y)`` must
-produce the identical ``coef_`` / ``intercept_`` (`np.array_equal`, not
-allclose) that ``RidgeRegressor(alpha).fit(x[:, ids], y)`` would —
+``BatchedRidge(alpha).masked_solver(x).member(ids)(y - y.mean(), y.mean())``
+must return the identical ``(coef, intercept)`` (`np.array_equal`, not
+allclose) that ``RidgeRegressor(alpha).fit(x[:, ids], y)`` would fit —
 :class:`~repro.learners.ridge.RidgeRegressor` stays the reference
 implementation the test suites compare against. That pins the
 implementation to the exact same floating-point operation sequence per
@@ -41,8 +41,8 @@ Group members share rows but usually not input subsets (the all-others
 wiring, diverse-FRaC's per-feature draws), so no two members need share a
 design matrix. :class:`RidgeMaskedSolver` batches what a group *does*
 share — the row gather, the column means, the centered
-matrix — and hands each member a :class:`RidgeColumnSolver` built from
-the member's column gather of that shared centered state. Three measured
+matrix — and hands each member a solve built from the member's column
+gather of that shared centered state. Three measured
 bitwise facts bound what a *subset or primal* member may share
 (docs/performance.md):
 
@@ -88,10 +88,12 @@ would amplify rounding, and the member takes its own
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.learners.ridge import RidgeRegressor, check_alpha, spd_factor, spd_solve
-from repro.utils.validation import check_2d, check_consistent_length
+from repro.utils.validation import check_2d
 
 #: Smallest Sherman–Morrison denominator ``1 - u^T G^-1 u`` an all-others
 #: member is solved with; below it the member falls back to its own Gram
@@ -120,96 +122,75 @@ def all_others_column(input_ids: np.ndarray, width: int) -> "int | None":
     return i
 
 
-class RidgeColumnSolver:
-    """Shared centering + Gram + Cholesky for one ridge design matrix.
+#: A member's solve: ``solve(yc, y_mean) -> (coef, intercept)`` for a
+#: target centered over the member's rows.
+MemberSolve = Callable[[np.ndarray, float], "tuple[np.ndarray, float]"]
+
+
+def _ridge_solve(xc: np.ndarray, x_mean: np.ndarray, alpha: float) -> MemberSolve:
+    """Factor the Gram of the centered design ``xc`` (column means
+    ``x_mean``) and return its solve.
 
     Solves the smaller of the primal (``d x d``) and dual (``n x n``)
-    normal equations, exactly like :class:`RidgeRegressor.fit` — the
-    branch choice, the centering, and the Gram product are replayed from
-    the same arrays, so every downstream float is identical.
+    normal equations, exactly like :meth:`RidgeRegressor.fit`: the branch
+    choice, the Gram product and the raw ``dpotrf`` / ``dpotrs`` pair are
+    replayed from the same arrays, so every float is identical.
+
+    Bitwise contract on the caller: ``xc`` and ``x_mean`` must carry the
+    exact bits ``x - x.mean(axis=0)`` and ``x.mean(axis=0)`` have for the
+    member's own design gather ``x``, and ``solve``'s ``yc`` / ``y_mean``
+    must equal ``y - y.mean()`` / ``y.mean()`` of the reference. Row-wise
+    batched centering of targets qualifies: an axis-1 mean over contiguous
+    rows runs the same pairwise kernel as the 1-D mean, and broadcast
+    subtraction is elementwise. The solve validates nothing; the engine
+    validates each (group, fold)'s design and targets once.
     """
+    n, d = xc.shape
+    if d == 0:
+        return lambda yc, y_mean: (np.zeros(0), float(y_mean))
+    if d <= n:
+        # The same-object product dispatches to dsyrk, exactly like the
+        # reference's `xc.T @ xc` — multiplying two equal copies would
+        # land in dgemm and move bits.
+        gram = xc.T @ xc
+        gram.flat[:: d + 1] += alpha
+        factor = spd_factor(gram)
 
-    def __init__(self, xc: np.ndarray, x_mean: np.ndarray, alpha: float) -> None:
-        """Factor the Gram of the centered design ``xc`` (column means
-        ``x_mean``); the design is validated and non-empty
-        (:class:`RidgeMaskedSolver` checks it).
+        def solve(yc, y_mean):
+            coef = spd_solve(factor, xc.T @ yc)
+            return coef, float(y_mean - x_mean @ coef)
 
-        Bitwise contract on the caller: ``xc`` and ``x_mean`` must carry
-        the exact bits ``x - x.mean(axis=0)`` and ``x.mean(axis=0)`` have
-        for the member's own design gather ``x``.
-        :class:`RidgeMaskedSolver` guarantees that by sharing only
-        bit-preserving steps (column gathers of a shared centered matrix;
-        mean extraction for >= 2 columns).
-        """
-        self._alpha = float(alpha)
-        self._n, self._d = xc.shape
-        self._x_mean = x_mean
-        self._xc = xc
-        self._factor = self._factorize()
+    else:
+        # Dual (kernelized) form: w = X^T (XX^T + alpha I)^{-1} y.
+        gram = xc @ xc.T
+        gram.flat[:: n + 1] += alpha
+        factor = spd_factor(gram)
 
-    def _factorize(self) -> "np.ndarray | None":
-        if self._d == 0:
-            return None
-        if self._d <= self._n:
-            # The same-object product dispatches to dsyrk, exactly like
-            # the scalar path's `xc.T @ xc` — materializing xc once and
-            # multiplying it with itself is part of the bitwise contract
-            # (two equal copies would land in dgemm and move bits).
-            gram = self._xc.T @ self._xc
-            gram.flat[:: self._d + 1] += self._alpha
-        else:
-            # Dual (kernelized) form: w = X^T (XX^T + alpha I)^{-1} y.
-            gram = self._xc @ self._xc.T
-            gram.flat[:: self._n + 1] += self._alpha
-        # dposv (what RidgeRegressor.fit effectively runs) = dpotrf +
-        # dpotrs; sharing the dpotrf here and replaying dpotrs per column
-        # is the whole batching win.
-        return spd_factor(gram)
+        def solve(yc, y_mean):
+            coef = xc.T @ spd_solve(factor, yc)
+            return coef, float(y_mean - x_mean @ coef)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return spd_solve(self._factor, rhs)
+    return solve
 
-    def fit_column(self, y: np.ndarray) -> RidgeRegressor:
-        """A fitted :class:`RidgeRegressor` for target column ``y``."""
-        y = np.asarray(y, dtype=np.float64).ravel()
-        check_consistent_length(self._xc, y)
-        if not np.isfinite(y).all():
-            raise ValueError("target y contains non-finite values")
-        y_mean = y.mean()
-        return self.solve_centered(y - y_mean, y_mean)
 
-    def solve_centered(self, yc: np.ndarray, y_mean: float) -> RidgeRegressor:
-        """Fit from a pre-centered target column.
-
-        Bitwise contract on the caller: ``yc`` / ``y_mean`` must equal
-        ``y - y.mean()`` / ``y.mean()`` of the scalar path exactly. Row-
-        wise batched centering qualifies: an axis-1 mean over contiguous
-        rows runs the same pairwise kernel as the 1-D scalar mean, and
-        broadcast subtraction is elementwise.
-        """
-        model = RidgeRegressor(alpha=self._alpha)
-        if self._d == 0:
-            model.coef_ = np.zeros(0)
-            model.intercept_ = float(y_mean)
-            return model
-        if self._d <= self._n:
-            model.coef_ = self._solve(self._xc.T @ yc)
-        else:
-            model.coef_ = self._xc.T @ self._solve(yc)
-        model.intercept_ = float(y_mean - self._x_mean @ model.coef_)
-        return model
+def fitted_ridge(alpha: float, coef: np.ndarray, intercept: float) -> RidgeRegressor:
+    """A fitted :class:`RidgeRegressor` carrying ``coef`` / ``intercept``."""
+    model = RidgeRegressor(alpha=alpha)
+    model.coef_ = coef
+    model.intercept_ = intercept
+    return model
 
 
 class RidgeMaskedSolver:
     """Shared row gather + means + centering for per-member column subsets.
 
     Holds the full-width design once per (group, fold): the raw matrix
-    (single-column members replay the scalar path from it), the column
+    (single-column members replay the reference from it), the column
     means, and the centered matrix. ``member`` scopes that state to one
-    input subset with pure column gathers — every float a member's
-    :class:`RidgeColumnSolver` then computes is bit-identical to fitting
-    ``RidgeRegressor`` on the member's own design gather (the module
-    docstring lists the measured facts this rests on).
+    input subset with pure column gathers — every float its solve then
+    computes is bit-identical to fitting ``RidgeRegressor`` on the
+    member's own design gather (the module docstring lists the measured
+    facts this rests on).
     """
 
     def __init__(self, x: np.ndarray, alpha: float, *, check: bool = True) -> None:
@@ -238,25 +219,25 @@ class RidgeMaskedSolver:
             return None
         return SharedDualRidge(self._xc, self._x_mean, self._alpha)
 
-    def member(self, input_ids: np.ndarray) -> RidgeColumnSolver:
-        """A column solver over the subset ``input_ids`` of the design."""
+    def member(self, input_ids: np.ndarray) -> MemberSolve:
+        """The ridge solve over the subset ``input_ids`` of the design:
+        ``solve(yc, y_mean) -> (coef, intercept)``, with the member's Gram
+        factored once here, so one member solves any number of targets."""
         ids = np.asarray(input_ids, dtype=np.intp)
         if ids.size <= 1:
             # An (n, 1) submatrix reduces through the 1-D pairwise kernel,
             # so the shared mean extraction is not bit-identical there;
-            # center the raw column itself, replaying the scalar path in
+            # center the raw column itself, replaying the reference in
             # full (d == 0 likewise short-circuits).
             x = self._x[:, ids]
             x_mean = x.mean(axis=0)
-            return RidgeColumnSolver(x - x_mean, x_mean, self._alpha)
-        # ascontiguousarray matters: ``xc[:, ids]`` gathers into an
-        # F-contiguous result, and BLAS dispatches the Gram product to a
+            return _ridge_solve(x - x_mean, x_mean, self._alpha)
+        # ``take`` along axis 1 gathers into a C-contiguous result, the
+        # layout of the reference's np.ix_ gather; ``xc[:, ids]`` would be
+        # F-contiguous, and BLAS dispatches the Gram product to a
         # different dsyrk transpose path there — same math, not the same
-        # bits. The reference path's np.ix_ gather is C-contiguous, so
-        # the member design must be too.
-        return RidgeColumnSolver(
-            np.ascontiguousarray(self._xc[:, ids]), self._x_mean[ids], self._alpha
-        )
+        # bits.
+        return _ridge_solve(self._xc.take(ids, axis=1), self._x_mean[ids], self._alpha)
 
 
 class SharedDualRidge:
@@ -308,21 +289,19 @@ class SharedDualRidge:
 
     def regressor(self, i: int, a: np.ndarray, y_mean: float) -> RidgeRegressor:
         """Member ``i``'s fitted :class:`RidgeRegressor` from its weights."""
-        model = RidgeRegressor(alpha=self._alpha)
-        model.coef_ = np.delete(self._u @ a, i)
-        model.intercept_ = float(y_mean - np.delete(self._x_mean, i) @ model.coef_)
-        return model
+        coef = np.delete(self._u @ a, i)
+        return fitted_ridge(self._alpha, coef, float(y_mean - np.delete(self._x_mean, i) @ coef))
 
 
 class BatchedRidge:
     """Multi-target ridge: shared gathers and centering, per-member solves.
 
     Takes :class:`RidgeRegressor`'s constructor parameters, with its
-    errors. ``BatchedRidge(alpha).masked_solver(x).member(ids).fit_column(y)`` is
-    bitwise identical to ``RidgeRegressor(alpha).fit(x[:, ids], y)`` (the
-    module docstring explains why), and returns an actual fitted
-    :class:`RidgeRegressor` so persistence, scoring, and the resource
-    model see the same artifact type either way.
+    errors. ``BatchedRidge(alpha).masked_solver(x).member(ids)`` solves to
+    the bits of ``RidgeRegressor(alpha).fit(x[:, ids], y)`` (the module
+    docstring explains why); :func:`fitted_ridge` wraps a final solve in
+    an actual :class:`RidgeRegressor`, so persistence, scoring, and the
+    resource model see the same artifact type either way.
     """
 
     def __init__(self, alpha: float = 1.0) -> None:

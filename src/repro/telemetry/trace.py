@@ -274,7 +274,7 @@ def summarize_trace(result: "TraceReadResult | list") -> TraceSummary:
 #: and fraclint's FRL020 requires every literal span name to be a key.
 SPAN_QUALNAMES = {
     "fit.preprocess": "repro.core.imputation.Preprocessor.fit",
-    "fit.build_tasks": "repro.core.frac.FRaC.fit",
+    "fit.build_tasks": "repro.core.frac.FRaC.fit_prepared",
     # The training span wraps the batched/per-feature dispatcher.
     "fit.train": "repro.core.engine.run_feature_tasks",
     # One run_feature_batch call: carries batch_size / group attrs. A

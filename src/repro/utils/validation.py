@@ -7,6 +7,8 @@ instead of letting numpy broadcast errors surface deep inside the engine.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.utils.exceptions import DataError, NotFittedError
@@ -35,6 +37,17 @@ def check_consistent_length(*arrays: np.ndarray) -> int:
     if len(lengths) > 1:
         raise DataError(f"inconsistent first-dimension lengths: {sorted(lengths)}")
     return lengths.pop() if lengths else 0
+
+
+def check_count(value: int, name: str, minimum: int) -> int:
+    """``value`` as an ``int``; :class:`DataError` unless it is an integer
+    (Python or numpy; not a bool, and not a float even when whole) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer; got {value!r}")
+    if value < minimum:
+        raise DataError(f"{name} must be >= {minimum}; got {value}")
+    return int(value)
 
 
 def check_feature_index(index: int, n_features: int) -> int:

@@ -1,5 +1,6 @@
 """Tests for FRaCConfig."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import FRaCConfig
@@ -25,6 +26,16 @@ class TestFRaCConfig:
     def test_invalid(self, kw):
         with pytest.raises(DataError):
             FRaCConfig(**kw)
+
+    @pytest.mark.parametrize("name", ["n_folds", "n_predictors", "min_observed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(DataError, match=name):
+            FRaCConfig(**{name: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = FRaCConfig(n_folds=np.int64(3), n_predictors=np.int32(2), min_observed=np.int8(4))
+        assert (cfg.n_folds, cfg.n_predictors, cfg.min_observed) == (3, 2, 4)
 
     @pytest.mark.parametrize("name", ["sigma_floor", "confusion_smoothing"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.5])

@@ -23,7 +23,7 @@ from repro.learners.decision_tree import (
     DecisionTreeRegressor,
 )
 from repro.parallel.executor import run_tasks
-from repro.utils.exceptions import DataError
+from repro.utils.exceptions import DataError, FitError
 
 
 class TestKFold:
@@ -229,6 +229,23 @@ class TestRunFeatureTask:
         x = gen.standard_normal((15, 2))
         model, _ = _run_task(x, FeatureSchema.all_real(2), inputs=[])
         assert model.input_ids.size == 0
+
+    def test_nonfinite_target_rejected(self):
+        """The ridge member solves validate nothing: a non-finite target is
+        rejected in the parent by its entropy, and when entropies are
+        given, by the batch's one check per (group, fold)."""
+        x = np.random.default_rng(7).standard_normal((12, 3))
+        targets = x.copy()
+        targets[3, 0] = np.inf
+        schema, config = FeatureSchema.all_real(3), FRaCConfig.fast()
+        with pytest.raises(FitError, match="finite"):
+            SharedTrainState(x_imputed=x, x_targets=targets, schema=schema, config=config)
+        shared = SharedTrainState(
+            x_imputed=x, x_targets=targets, schema=schema, config=config, entropies=np.zeros(3)
+        )
+        task = FeatureTask(feature_id=0, input_ids=np.array([1, 2]), seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_tasks(run_feature_task, [task], shared=shared)
 
 
 class TestScoreContributions:

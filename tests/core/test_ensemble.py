@@ -116,6 +116,13 @@ class TestFRaCEnsemble:
         with pytest.raises(DataError):
             FRaCEnsemble(lambda i, s: None, n_members=0)
 
+    @pytest.mark.parametrize("n_members", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_member_count_must_be_an_integer(self, n_members):
+        with pytest.raises(DataError, match="n_members"):
+            FRaCEnsemble(lambda i, s: None, n_members=n_members)
+        with pytest.raises(DataError, match="n_members"):
+            diverse_ensemble(n_members=n_members)
+
     def test_deterministic(self, expression_replicate, fast_config):
         rep = expression_replicate
         a = random_filter_ensemble(p=0.2, n_members=3, config=fast_config, rng=4)

@@ -49,6 +49,26 @@ class TestExpressionDataset:
         assert (module_of >= 0).sum() == 40  # 4 modules x 10
         np.testing.assert_array_equal(np.sort(np.flatnonzero(module_of >= 0)), relevant)
 
+    def test_records_each_anomalys_disrupted_features(self):
+        """Scattered mode: each anomaly re-draws round(fraction * relevant)
+        distinct relevant features, recorded sorted in anomaly order."""
+        ds = make_expression_dataset(self.CFG, rng=0)
+        disrupted = ds.metadata["disrupted_features"]
+        relevant = ds.metadata["relevant_features"]
+        assert len(disrupted) == self.CFG.n_anomaly
+        for features in disrupted:
+            assert len(features) == round(self.CFG.disrupt_fraction * len(relevant))
+            assert np.isin(features, relevant).all()
+            np.testing.assert_array_equal(features, np.unique(features))
+
+    def test_zero_disruption_records_empty_feature_sets(self):
+        cfg = ExpressionConfig(
+            n_features=60, n_normal=10, n_anomaly=3, n_modules=4, module_size=10,
+            disrupt_fraction=0.0,
+        )
+        disrupted = make_expression_dataset(cfg, rng=0).metadata["disrupted_features"]
+        assert [len(features) for features in disrupted] == [0, 0, 0]
+
     def test_module_features_correlate(self):
         """Features in the same module must be strongly correlated among
         normal samples — the relationship FRaC learns."""
@@ -196,6 +216,15 @@ class TestModuleDisruptMode:
         disrupted = ds.metadata["disrupted_modules"]
         assert len(disrupted) == 10
         assert all(len(mods) == 1 for mods in disrupted)
+
+    def test_disrupted_features_are_the_disrupted_modules(self):
+        ds = make_expression_dataset(self.CFG, rng=0)
+        module_of = ds.metadata["module_of"]
+        pairs = zip(ds.metadata["disrupted_features"], ds.metadata["disrupted_modules"])
+        assert len(ds.metadata["disrupted_features"]) == self.CFG.n_anomaly
+        for features, modules in pairs:
+            np.testing.assert_array_equal(features, np.flatnonzero(np.isin(module_of, modules)))
+            assert len(features) == len(modules) * self.CFG.module_size
 
     def test_module_fraction_rounds(self):
         cfg = ExpressionConfig(
